@@ -18,8 +18,14 @@ graph are parametrized by the coordinates at any fixed word.  A
 the datum's canonical base word.
 
 Transition paths are found by breadth-first search in the braid-move graph
-with lexicographically smallest neighbors first, memoized per word pair,
-so repeated transitions cost one dictionary lookup plus the moves.
+with lexicographically smallest neighbors first.  Each path is checked move
+by move once and compiled into a flat program of ints (``k0`` for a 2-move
+at 0-based position k0, ``~k0`` for a 3-move), kept in a bounded cache per
+(datum, start, goal).  :func:`transport` runs a program over a list in one
+loop: plain ints with (min, +, -) for the tropical models, the values' own
+``+ * /`` otherwise.  :func:`transition` validates once on entry and builds
+one decorated word at the end; :func:`apply_move` stays the single-move API
+and replays the same path for traces.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Sequence
 
 from .cartan import CartanDatum, DiagramAutomorphism
 from .errors import WordError
-from .semifield import SemifieldValue
+from .semifield import SemifieldValue, TropInt
 from .weyl import Word, _neighbor_letters, base_word, word_for_w0
 from .weyl import reduced_word_for_w0_ending_with, reduced_word_for_w0_starting_with
 
@@ -68,10 +74,8 @@ def decorated(datum: CartanDatum, letters: Sequence[str], coords) -> DecoratedWo
     return DecoratedWord(word_for_w0(datum, letters), tuple(coords))
 
 
-def apply_move(dw: DecoratedWord, k: int, r: int) -> DecoratedWord:
-    """Apply the braid move at 1-based position k with length r in {2, 3}."""
-    datum = dw.datum
-    letters = dw.word.letters
+def _check_move(datum: CartanDatum, letters: tuple[str, ...], k: int, r: int):
+    """Validate the braid move (k, r) on letters; returns its two letters p, q."""
     if r not in (2, 3):
         raise WordError("invalid-move", f"elementary moves have r in {{2, 3}}, got {r}")
     if k < 1 or k + r - 1 > len(letters):
@@ -82,27 +86,38 @@ def apply_move(dw: DecoratedWord, k: int, r: int) -> DecoratedWord:
     if p == q or segment != tuple(p if t % 2 == 0 else q for t in range(r)):
         raise WordError("invalid-move", f"segment at ({k}, {r}) is not alternating")
     dot = datum.dot(p, q)
+    if r == 2 and dot != 0:
+        raise WordError("invalid-move", f"nodes {p}, {q} are not orthogonal")
+    if r == 3 and dot != -1:
+        raise WordError("invalid-move", f"nodes {p}, {q} are not joined simply")
+    return p, q
+
+
+def apply_move(dw: DecoratedWord, k: int, r: int) -> DecoratedWord:
+    """Apply the braid move at 1-based position k with length r in {2, 3}."""
+    letters = dw.word.letters
+    p, q = _check_move(dw.datum, letters, k, r)
+    k0 = k - 1
     if r == 2:
-        if dot != 0:
-            raise WordError("invalid-move", f"nodes {p}, {q} are not orthogonal")
-        new_letters = letters[:k0] + (q, p) + letters[k0 + 2 :]
-        new_coords = (
-            dw.coords[:k0]
-            + (dw.coords[k0 + 1], dw.coords[k0])
-            + dw.coords[k0 + 2 :]
-        )
+        moved = (dw.coords[k0 + 1], dw.coords[k0])
     else:
-        if dot != -1:
-            raise WordError("invalid-move", f"nodes {p}, {q} are not joined simply")
         x, y, z = dw.coords[k0 : k0 + 3]
         s = x + z
-        new_letters = letters[:k0] + (q, p, q) + letters[k0 + 3 :]
-        new_coords = dw.coords[:k0] + (y * z / s, s, x * y / s) + dw.coords[k0 + 3 :]
-    return DecoratedWord(Word(datum, new_letters), new_coords)
+        moved = (y * z / s, s, x * y / s)
+    new_letters = letters[:k0] + (q, p, q)[:r] + letters[k0 + r :]
+    new_coords = dw.coords[:k0] + moved + dw.coords[k0 + r :]
+    return DecoratedWord(Word(dw.datum, new_letters), new_coords)
 
 
-@lru_cache(maxsize=None)
-def _move_path(
+def _require_simply_laced(datum: CartanDatum) -> None:
+    if not datum.simply_laced:
+        raise WordError(
+            "not-simply-laced",
+            "coordinate moves are defined on simply laced data; fold instead",
+        )
+
+
+def _bfs_path(
     datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]
 ) -> tuple[tuple[int, int], ...]:
     """A braid-move path start -> goal as (k, r) pairs, via BFS."""
@@ -129,36 +144,96 @@ def _move_path(
     raise WordError("disconnected", "words are not connected by braid moves")
 
 
+# A fixed bound, so a stream of new word pairs cannot grow the cache forever.
+_PROGRAM_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
+def _program(
+    datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]
+) -> tuple[int, ...]:
+    """The BFS path start -> goal, checked move by move, as a flat program.
+
+    Each op is k0 (a 2-move at 0-based position k0) or ~k0 (a 3-move).
+    """
+    _require_simply_laced(datum)
+    letters = start
+    program = []
+    for k, r in _bfs_path(datum, start, goal):
+        p, q = _check_move(datum, letters, k, r)
+        k0 = k - 1
+        letters = letters[:k0] + (q, p, q)[:r] + letters[k0 + r :]
+        program.append(k0 if r == 2 else ~k0)
+    if letters != goal:
+        raise WordError("invalid-move", "the move path does not end at the goal word")
+    return tuple(program)
+
+
 def move_path(
     datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]
 ) -> tuple[tuple[int, int], ...]:
-    """The memoized braid-move path between two reduced words."""
-    return _move_path(datum, tuple(start), tuple(goal))
+    """The braid-move path between two reduced words, as 1-based (k, r) pairs."""
+    return tuple(
+        (~op + 1, 3) if op < 0 else (op + 1, 2)
+        for op in _program(datum, tuple(start), tuple(goal))
+    )
+
+
+def transport(
+    datum: CartanDatum, start: Sequence[str], goal: Sequence[str], values: Sequence
+) -> list:
+    """Move one value per letter of start to goal along the compiled path.
+
+    Plain ints are tropical coordinates and move with (min, +, -); any
+    other values move with their own +, *, /.  Both words must be reduced
+    words for w_0 of the datum.
+    """
+    program = _program(datum, tuple(start), tuple(goal))
+    out = list(values)
+    if len(out) != len(start):
+        raise WordError(
+            "coords-length", f"{len(start)} letters but {len(out)} coordinates"
+        )
+    tropical = bool(out) and type(out[0]) is int
+    for op in program:
+        if op >= 0:
+            out[op], out[op + 1] = out[op + 1], out[op]
+            continue
+        k0 = ~op
+        k1, k2 = k0 + 1, k0 + 2  # indexed, not sliced: slicing costs more than the arithmetic
+        x, y, z = out[k0], out[k1], out[k2]
+        if tropical:
+            s = x if x < z else z
+            out[k0], out[k1], out[k2] = y + z - s, s, x + y - s
+        else:
+            s = x + z
+            out[k0], out[k1], out[k2] = y * z / s, s, x * y / s
+    return out
 
 
 def transition(dw: DecoratedWord, to_word: Word, collect_trace: bool = False):
     """Transport coordinates from dw.word to to_word along braid moves.
 
     Returns the decorated word at ``to_word``; with ``collect_trace`` the
-    full move-by-move list of decorated words is returned alongside it.
+    path is replayed through :func:`apply_move` and the full move-by-move
+    list of decorated words is returned alongside it.
     """
     datum = dw.datum
-    if not datum.simply_laced:
-        raise WordError(
-            "not-simply-laced",
-            "coordinate moves are defined on simply laced data; fold instead",
-        )
+    _require_simply_laced(datum)
     if to_word.datum != datum:
         raise WordError("datum-mismatch", "target word belongs to a different datum")
-    trace = [dw] if collect_trace else None
-    current = dw
-    for k, r in _move_path(datum, dw.word.letters, to_word.letters):
-        current = apply_move(current, k, r)
-        if collect_trace:
-            trace.append(current)
+    start, goal = dw.word.letters, to_word.letters
     if collect_trace:
-        return current, trace
-    return current
+        trace = [dw]
+        for k, r in move_path(datum, start, goal):
+            trace.append(apply_move(trace[-1], k, r))
+        return trace[-1], trace
+    coords = dw.coords
+    if coords and isinstance(coords[0], TropInt):
+        # moves keep naturals natural; the TropNat wrap still checks the range
+        moved = transport(datum, start, goal, [c.n for c in coords])
+        return DecoratedWord(to_word, tuple(map(type(coords[0]), moved)))
+    return DecoratedWord(to_word, tuple(transport(datum, start, goal, coords)))
 
 
 @dataclass(frozen=True)

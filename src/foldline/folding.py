@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from . import chamber
 from .cartan import FoldedDatum, builtin, fold
 from .chamber import ChamberPoint, DecoratedWord, canonical, realize
-from .errors import FoldingError
+from .errors import FoldingError, FoldlineError
 from .exprs import parse_value
 from .semifield import (
     SemifieldValue,
@@ -275,7 +275,8 @@ def b2_tropical(coords: Sequence[TropInt]) -> tuple[TropInt, ...]:
         raise FoldingError("bad-coords", "tropical closed form needs tropical values")
     model = coords[0].model
     d, c, b, a = (value.n for value in coords)
-    assert a + b + d >= min(a + 2 * b, a + 2 * d)
+    if a + b + d < min(a + 2 * b, a + 2 * d):
+        raise FoldingError("closed-form-guard", "a + b + d < min(a + 2b, a + 2d)")
     m1 = min(a + b, a + d, c + d)
     m2 = min(a + 2 * b, a + 2 * d, c + 2 * d)
     out = (a + 2 * b + c - m2, m2 - m1, 2 * m1 - m2, b + c + d - m1)
@@ -392,7 +393,7 @@ def verify_chain_data(data: dict) -> ChainCertificate:
                     )
                 else:
                     step = ChainStep(index + 1, k, r, True)
-        except FoldingError as error:
+        except FoldlineError as error:
             step = ChainStep(index + 1, 0, 0, False, f"{error.kind}: {error}")
         steps.append(step)
     try:
@@ -407,7 +408,7 @@ def verify_chain_data(data: dict) -> ChainCertificate:
         detail = f"closed form applied to the {data['closed_form_input']} line ({direction})"
         if not closed_ok:
             detail += ": mismatch"
-    except FoldingError as error:
+    except FoldlineError as error:
         closed_ok = False
         detail = f"endpoint is not a valid unfolding ({error.kind}: {error})"
     return ChainCertificate(

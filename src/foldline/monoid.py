@@ -76,20 +76,19 @@ class MonoidElement:
         return str(self.decorated())
 
 
-def _coords_at(m: MonoidElement, word: Word) -> tuple[int, ...]:
-    moved = chamber.transition(m.decorated(), word)
-    return tuple(c.n for c in moved.coords)
+def _coords_at(m: MonoidElement, word: Word) -> list[int]:
+    return chamber.transport(m.datum, m.word.letters, word.letters, m.coords)
 
 
 def _from_word_coords(datum: CartanDatum, word: Word, coords: Sequence[int]) -> MonoidElement:
-    dw = DecoratedWord(word, tuple(TropNat(c) for c in coords))
-    at_base = chamber.transition(dw, base_word(datum))
-    return MonoidElement(datum, tuple(c.n for c in at_base.coords))
+    at_base = chamber.transport(datum, word.letters, base_word(datum).letters, coords)
+    return MonoidElement(datum, tuple(at_base))
 
 
 def normal_form(datum: CartanDatum, letters: Sequence[str], coords: Sequence[int]) -> MonoidElement:
     """The element with the given coordinates along the given reduced word."""
-    return _from_word_coords(datum, word_for_w0(datum, letters), coords)
+    naturals = [TropNat(c).n for c in coords]  # typed errors for non-naturals
+    return _from_word_coords(datum, word_for_w0(datum, letters), naturals)
 
 
 def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
@@ -100,8 +99,8 @@ def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
             "only exponents n >= 0 stabilize the normal-form submonoid",
         )
     word = reduced_word_for_w0_starting_with(m.datum, gen.i)
-    coords = list(_coords_at(m, word))
-    coords[0] = min(gen.n, coords[0])
+    coords = _coords_at(m, word)
+    coords[0] = min(TropNat(gen.n).n, coords[0])  # typed error for a non-integer n
     return _from_word_coords(m.datum, word, coords)
 
 
@@ -113,8 +112,8 @@ def right_mul_gen(m: MonoidElement, gen: MonoidGenerator) -> MonoidElement:
             "only exponents n >= 0 stabilize the normal-form submonoid",
         )
     word = reduced_word_for_w0_ending_with(m.datum, gen.i)
-    coords = list(_coords_at(m, word))
-    coords[-1] = min(gen.n, coords[-1])
+    coords = _coords_at(m, word)
+    coords[-1] = min(TropNat(gen.n).n, coords[-1])  # typed error for a non-integer n
     return _from_word_coords(m.datum, word, coords)
 
 
@@ -225,10 +224,10 @@ def raise_to(n: int, m: MonoidElement, i: str) -> MonoidElement:
     if n < 0:
         raise MonoidError("bad-exponent", "the target fiber needs n >= 0")
     word = reduced_word_for_w0_starting_with(m.datum, i)
-    coords = list(_coords_at(m, word))
+    coords = _coords_at(m, word)
     if coords[0] != 0:
         raise MonoidError("raise-precondition", f"raise_to needs l_{i}(m) = 0")
-    coords[0] = n
+    coords[0] = TropNat(n).n  # typed error for a non-integer n
     return _from_word_coords(m.datum, word, coords)
 
 

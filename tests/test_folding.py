@@ -1,14 +1,17 @@
 """Unfolding, folded transitions, closed forms, embedded certificates."""
 
+import ast
 import copy
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import foldline
 from foldline.cartan import builtin, fold, identity_automorphism
 from foldline.chamber import canonical, decorated, is_sigma_fixed
-from foldline.errors import FoldingError
+from foldline.errors import FoldingError, WordError
 from foldline.folding import (
     all_fillings,
     b2_closed_form,
@@ -205,6 +208,22 @@ class TestClosedForms:
             out = b2_tropical(coords)
             assert all(v.n >= 0 for v in out)
 
+    def test_tropical_guard_is_typed(self):
+        """The closed form still matches on seeded inputs, with no assert left."""
+        rng = random.Random(17)
+        for make, low in ((T, -30), (N, 0)):
+            for _ in range(200):
+                coords = tuple(make(rng.randint(low, 30)) for _ in range(4))
+                assert b2_tropical(coords) == tuple(b2_closed_form(coords))
+        source = Path(foldline.__file__).parent
+        asserts = [
+            (path.name, node.lineno)
+            for path in sorted(source.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert asserts == []  # `python -O` would strip them
+
 
 class TestChainCertificates:
     def test_a3_chain(self):
@@ -233,6 +252,30 @@ class TestChainCertificates:
         row[0], row[1] = [row[0][0], "c"], [row[1][0], "d"]
         certificate = verify_chain_data(data)
         assert not certificate.ok
+
+    def test_swapped_lines_reported(self):
+        data = copy.deepcopy(load_chain_data("b2-from-a3"))
+        lines = data["lines"]
+        lines[1], lines[2] = lines[2], lines[1]
+        certificate = verify_chain_data(data)
+        failed = [step for step in certificate.steps if not step.ok]
+        assert not certificate.ok
+        assert failed[0].line == 1 and failed[0].detail.startswith("invalid-move")
+
+    def test_dropped_line_reported(self):
+        data = copy.deepcopy(load_chain_data("b2-from-a3"))
+        del data["lines"][1]
+        certificate = verify_chain_data(data)
+        assert not certificate.ok
+        assert len(certificate.steps) == 4
+        assert [step.line for step in certificate.steps if not step.ok] == [1]
+
+    def test_non_reduced_line_raises(self):
+        data = copy.deepcopy(load_chain_data("b2-from-a3"))
+        data["lines"][0][1][0] = "2"  # 2,2,1,2',2,1 is not reduced
+        with pytest.raises(WordError) as error:
+            verify_chain_data(data)
+        assert error.value.kind == "not-reduced"
 
     def test_unknown_chain(self):
         with pytest.raises(FoldingError) as error:
