@@ -64,6 +64,19 @@ class CartanDatum:
     simply_laced: bool
     irreducible: bool
 
+    def __post_init__(self):
+        # A datum keys many caches, so its hash is computed once; it equals
+        # the hash of the field tuple, as the generated one would.
+        fields = (self.labels, self.pairing, self.simply_laced, self.irreducible)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy, _hash.
+        return (CartanDatum, (self.labels, self.pairing, self.simply_laced, self.irreducible))
+
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)

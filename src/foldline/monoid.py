@@ -28,7 +28,7 @@ automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import chamber, folding
 from .cartan import CartanDatum, DiagramAutomorphism, FoldedDatum
@@ -37,9 +37,6 @@ from .errors import MonoidError
 from .semifield import TropNat
 from .weyl import Word, base_word, word_for_w0
 from .weyl import reduced_word_for_w0_ending_with, reduced_word_for_w0_starting_with
-
-_SCAN_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class MonoidGenerator:
@@ -185,18 +182,33 @@ def l_coordinate(m: MonoidElement, i: str) -> int:
     return chamber.lambda_coord(m.chamber_point(), i).n
 
 
-def l_scan(m: MonoidElement, i: str) -> int:
-    """l_i by generator scan: the least n with xi_i^n m = m.
+def _least_fixing(m: MonoidElement, word: Word, fixes: Callable[[int], bool]) -> int:
+    """The least n >= 0 with fixes(n), which holds exactly when n >= the answer.
 
-    Bounded by one past the largest coordinate at the scanned word, which
-    dominates the answer.
+    Doubling from n = 0 finds a fixing exponent, and bisection then narrows
+    it down, so the search costs O(log answer) generator actions.  One past
+    the largest coordinate at the scanned word dominates the answer and
+    bounds the search.
     """
-    word = reduced_word_for_w0_starting_with(m.datum, i)
     bound = max(_coords_at(m, word)) + 1
-    for n in range(min(bound, _SCAN_CAP) + 1):
-        if left_mul_gen(MonoidGenerator(i, n), m) == m:
-            return n
-    raise MonoidError("scan-overflow", "generator scan failed to terminate")
+    low, high = -1, 0  # fixes(low) is false; fixes(high) is the next test
+    while not fixes(high):
+        if high >= bound:
+            raise MonoidError("scan-overflow", "generator scan failed to terminate")
+        low, high = high, min(max(1, 2 * high), bound)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if fixes(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def l_scan(m: MonoidElement, i: str) -> int:
+    """l_i by generator scan: the least n with xi_i^n m = m."""
+    word = reduced_word_for_w0_starting_with(m.datum, i)
+    return _least_fixing(m, word, lambda n: left_mul_gen(MonoidGenerator(i, n), m) == m)
 
 
 def r_coordinate(m: MonoidElement, i: str) -> int:
@@ -207,11 +219,7 @@ def r_coordinate(m: MonoidElement, i: str) -> int:
 def r_scan(m: MonoidElement, i: str) -> int:
     """r_i by generator scan: the least n with m xi_i^n = m."""
     word = reduced_word_for_w0_ending_with(m.datum, i)
-    bound = max(_coords_at(m, word)) + 1
-    for n in range(min(bound, _SCAN_CAP) + 1):
-        if right_mul_gen(m, MonoidGenerator(i, n)) == m:
-            return n
-    raise MonoidError("scan-overflow", "generator scan failed to terminate")
+    return _least_fixing(m, word, lambda n: right_mul_gen(m, MonoidGenerator(i, n)) == m)
 
 
 def lower_to_zero(m: MonoidElement, i: str) -> MonoidElement:

@@ -6,6 +6,13 @@ finite type every root image has coordinates of one sign, so descent tests
 reduce to a sign check and lengths are computed by walking down to the
 identity.  The longest element w_0 is found by greedy ascent.
 
+A word of length N = l(w_0) is checked to be a reduced word for w_0 without
+any matrix: rho is regular, so the word multiplies to w_0 exactly when it
+sends rho to -rho, and each letter acts on fundamental-weight coordinates by
+a rank-one update, O(N rank) in all.  The matrices remain for the longest
+element, the enumeration of reduced words and the brute-force word-count
+oracle in :mod:`foldline.checks`.
+
 Reduced words for w_0 form a graph whose edges are braid moves: replace an
 alternating segment (p, p', p, ...) of length h(p, p') by the segment
 starting with p'.  By the Iwahori-Tits theorem this graph is connected;
@@ -145,15 +152,47 @@ class Word:
         return Word(self.datum, tuple(reversed(self.letters)))
 
 
+@lru_cache(maxsize=64)
+def _rho_updates(datum: CartanDatum) -> dict[str, tuple[int, tuple[tuple[int, int], ...]]]:
+    """For each label i: its index a and the pairs (b, <alpha_i, alpha_j^vee>)
+    over the labels j = labels[b] where that integer is nonzero."""
+    updates = {}
+    for a, i in enumerate(datum.labels):
+        column = tuple(
+            (b, datum.cartan_integer(j, i))
+            for b, j in enumerate(datum.labels)
+            if datum.pairing[a][b]
+        )
+        updates[i] = (a, column)
+    return updates
+
+
 def word_for_w0(datum: CartanDatum, letters: Sequence[str]) -> Word:
-    """Validate that the letters form a reduced word for w_0."""
+    """Validate that the letters form a reduced word for w_0.
+
+    rho is regular, so a word of length N = l(w_0) multiplies to w_0 exactly
+    when it sends rho to w_0(rho) = -rho.  The letters act on rho = (1, ..., 1)
+    in fundamental-weight coordinates, where s_i is the rank-one update
+    lambda_j -= lambda_i <alpha_i, alpha_j^vee>; the letters are read left to
+    right, which computes w^{-1}(rho), and w^{-1} = w_0 iff w = w_0.
+    """
     letters = tuple(letters)
-    w0, n = longest_element(datum)
+    _, n = longest_element(datum)
     if len(letters) != n:
         raise WordError(
             "not-reduced", f"expected a word of length {n}, got {len(letters)}"
         )
-    if WeylElement.from_word(datum, letters).matrix != w0.matrix:
+    updates = _rho_updates(datum)
+    weight = [1] * datum.rank
+    for i in letters:
+        entry = updates.get(i)
+        if entry is None:
+            datum.index(i)  # raises the typed unknown-label error
+        a, column = entry
+        c = weight[a]
+        for b, cartan in column:
+            weight[b] -= c * cartan
+    if any(x != -1 for x in weight):
         raise WordError("not-reduced", f"{','.join(letters)} does not multiply to w_0")
     return Word(datum, letters)
 

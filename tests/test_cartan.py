@@ -1,5 +1,10 @@
 """Cartan data validation, builtins, and folding."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from foldline.cartan import (
@@ -164,3 +169,42 @@ class TestJson:
     def test_bad_document(self):
         with pytest.raises(DatumError):
             datum_from_json({"labels": ["1"]})
+
+
+class TestHash:
+    def test_builtin_equals_revalidated(self):
+        for name in ("A4", "B:n=2", "Dstyle:n=3", "D4+triality"):
+            datum, _ = builtin(name)
+            again = validate_datum(list(datum.labels), [list(row) for row in datum.pairing])
+            assert again is not datum
+            assert again == datum and hash(again) == hash(datum)
+            assert {datum: name}[again] == name
+
+    def test_stored_hash_matches_fields(self):
+        datum, _ = builtin("A3")
+        fields = (datum.labels, datum.pairing, datum.simply_laced, datum.irreducible)
+        assert hash(datum) == hash(fields)
+        assert datum != validate_datum(["1", "2", "3"], [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+
+    def test_pickle_rehashes_in_another_process(self):
+        """String hashes are salted per process, so a pickled datum must not
+        carry its stored hash across."""
+        datum, _ = builtin("A4")
+        script = (
+            "import pickle, sys\n"
+            "from foldline.cartan import builtin\n"
+            "d = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(hash(d) == hash(builtin('A4')[0]) and d == builtin('A4')[0])\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345"}
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(datum),
+            capture_output=True,
+            env=env,
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout.strip() == b"True"

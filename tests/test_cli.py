@@ -1,6 +1,7 @@
 """Command-line interface: payload shapes, determinism, error kinds."""
 
 import json
+import time
 
 from foldline.cli import main
 
@@ -242,6 +243,34 @@ class TestVerify:
         assert output.count("PASS") >= 10
 
 
+class TestWordErrors:
+    """Typed errors from reduced-word validation reach the CLI unchanged."""
+
+    def transition(self, capsys, word):
+        return run_json(
+            capsys, "transition", "--datum", "A2", "--from", word, "--to", "2,1,2",
+            "--coords", "0,1,2", "--semifield", "tropz",
+        )
+
+    def test_unknown_label(self, capsys):
+        code, doc = self.transition(capsys, "1,9,1")
+        assert code == 1
+        assert (doc["status"], doc["kind"]) == ("error", "unknown-label")
+        assert doc["message"] == "unknown node label '9'"
+
+    def test_wrong_length(self, capsys):
+        code, doc = self.transition(capsys, "1,2")
+        assert code == 1
+        assert doc["kind"] == "not-reduced"
+        assert doc["message"] == "expected a word of length 3, got 2"
+
+    def test_not_w0(self, capsys):
+        code, doc = self.transition(capsys, "1,1,2")
+        assert code == 1
+        assert doc["kind"] == "not-reduced"
+        assert doc["message"] == "1,1,2 does not multiply to w_0"
+
+
 class TestMonoid:
     def test_mul(self, capsys):
         code, doc = run_json(
@@ -268,3 +297,14 @@ class TestMonoid:
         )
         assert code == 0
         assert output.startswith("digraph crystal")
+
+    def test_lstring_large_coordinate(self, capsys):
+        start = time.perf_counter()
+        code, doc = run_json(
+            capsys, "monoid", "lstring", "--datum", "A2", "--i", "1",
+            "--coords", "0,0,100000000",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert doc["payload"]["l_scan"] == doc["payload"]["l_coordinate"] == 0
+        assert doc["payload"]["r_scan"] == doc["payload"]["r_coordinate"] == 100000000

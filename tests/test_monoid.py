@@ -308,6 +308,37 @@ class TestStringLengths:
         for a in range(level, level + 3):
             assert left_mul_gen(MonoidGenerator("2", a), m) == m
 
+    def test_scan_matches_linear_definition(self):
+        """The search returns the least fixing exponent, as a linear scan does."""
+        rng = random.Random(17)
+        for datum in (A2, A3):
+            for _ in range(15):
+                m = rand_element(rng, datum, bound=9)
+                i = rng.choice(datum.labels)
+                least_left = next(
+                    n for n in itertools.count() if left_mul_gen(MonoidGenerator(i, n), m) == m
+                )
+                least_right = next(
+                    n for n in itertools.count() if right_mul_gen(m, MonoidGenerator(i, n)) == m
+                )
+                assert (l_scan(m, i), r_scan(m, i)) == (least_left, least_right)
+
+    def test_scan_attempts_are_logarithmic(self, monkeypatch):
+        from foldline import monoid
+
+        attempts = []
+        limit = 2 * (10**8).bit_length() + 2
+        original = monoid.right_mul_gen
+
+        def counting(m, gen):
+            attempts.append(gen.n)
+            assert len(attempts) <= limit, "scan is not logarithmic"
+            return original(m, gen)
+
+        monkeypatch.setattr(monoid, "right_mul_gen", counting)
+        m = normal_form(A2, ("1", "2", "1"), (0, 0, 10**8))
+        assert r_scan(m, "1") == 10**8
+
 
 class TestCrystal:
     def test_raise_lower_inverse(self):

@@ -1,11 +1,15 @@
 """Weyl group elements, reduced-word enumeration, braid moves."""
 
 import itertools
+import random
 
 import pytest
 
+from foldline import chamber, checks, monoid
 from foldline.cartan import builtin, fold
-from foldline.errors import WordError
+from foldline.errors import DatumError, WordError
+from foldline.folding import standard_folding
+from foldline.semifield import TropNat
 from foldline.weyl import (
     WeylElement,
     base_word,
@@ -162,6 +166,7 @@ class TestBraidMoves:
         with pytest.raises(WordError) as error:
             word_for_w0(datum, ("1", "1", "2"))
         assert error.value.kind == "not-reduced"
+        assert str(error.value) == "1,1,2 does not multiply to w_0"
 
 
 class TestOrbits:
@@ -209,3 +214,98 @@ class TestOrbits:
         blocks = {eta: orbit_longest(fd.source, fd.orbit_of(eta))[1] for eta in fd.folded.labels}
         assert n_folded == 4 and blocks == {"1": 2, "2": 3}
         assert longest_element(fd.source)[1] == 2 * blocks["1"] + 2 * blocks["2"]
+
+
+def _matrix_check(datum, letters):
+    """The matrix-product reference for word_for_w0."""
+    w0, n = longest_element(datum)
+    return len(letters) == n and WeylElement.from_word(datum, letters).matrix == w0.matrix
+
+
+def _rho_check(datum, letters):
+    try:
+        word_for_w0(datum, letters)
+    except WordError as error:
+        assert error.kind == "not-reduced"
+        return False
+    return True
+
+
+class TestRhoCheck:
+    """word_for_w0 acts on rho; the Weyl matrix product is the reference."""
+
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            builtin("A2")[0],
+            builtin("A3")[0],
+            builtin("B:n=2")[0],
+            standard_folding("a3").folded,
+            standard_folding("a4").folded,
+            standard_folding("d4").folded,
+        ],
+        ids=["A2", "A3", "B:n=2", "folded-a3", "folded-a4", "folded-d4"],
+    )
+    def test_exhaustive_at_length_n(self, datum):
+        _, n = longest_element(datum)
+        accepted = 0
+        for letters in itertools.product(datum.labels, repeat=n):
+            expected = _matrix_check(datum, letters)
+            assert _rho_check(datum, letters) == expected, letters
+            accepted += expected
+        assert accepted == len(enumerate_reduced_words(datum).vertices)
+
+    @pytest.mark.parametrize("name", ["A4", "D4+triality"])
+    def test_seeded_random_and_transposed(self, name):
+        datum, _ = builtin(name)
+        _, n = longest_element(datum)
+        rng = random.Random(4)
+        reduced = enumerate_reduced_words(datum).vertices
+        samples = [tuple(rng.choice(datum.labels) for _ in range(n)) for _ in range(300)]
+        for letters in rng.sample(reduced, 150):
+            k = rng.randrange(n - 1)
+            samples.append(letters[:k] + (letters[k + 1], letters[k]) + letters[k + 2 :])
+        samples += rng.sample(reduced, 50)
+        outcomes = set()
+        for letters in samples:
+            expected = _matrix_check(datum, letters)
+            assert _rho_check(datum, letters) == expected, letters
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_unknown_label(self):
+        datum, _ = builtin("A2")
+        with pytest.raises(DatumError) as error:
+            word_for_w0(datum, ("1", "9", "1"))
+        assert error.value.kind == "unknown-label"
+        assert str(error.value) == "unknown node label '9'"
+
+    def test_wrong_length_message(self):
+        datum, _ = builtin("A2")
+        with pytest.raises(WordError) as error:
+            word_for_w0(datum, ("1", "2"))
+        assert error.value.kind == "not-reduced"
+        assert str(error.value) == "expected a word of length 3, got 2"
+
+    def test_hot_paths_build_no_matrices(self, monkeypatch):
+        """Word validation in chamber, folding and monoid multiplies no matrices;
+        the brute-force oracle still does."""
+        fd = standard_folding("a4")
+        coords = (1, 0, 2, 1)
+        letters = ("1", "2", "1", "2")
+        monoid.folded_mul(fd, coords, coords, letters)  # fills the per-orbit caches
+        calls = []
+        original = WeylElement.from_word.__func__
+
+        def counting(cls, datum, word):
+            calls.append(tuple(word))
+            return original(cls, datum, word)
+
+        monkeypatch.setattr(WeylElement, "from_word", classmethod(counting))
+        a3, _ = builtin("A3")
+        chamber.decorated(a3, base_word(a3).letters, [TropNat(1)] * 6)
+        monoid.normal_form(a3, base_word(a3).letters, [1] * 6)
+        monoid.folded_mul(fd, coords, coords, letters)  # unfold and fold_coordinates
+        assert calls == []
+        assert checks.brute_force_word_count("A2") == 2
+        assert calls
