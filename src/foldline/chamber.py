@@ -17,6 +17,12 @@ graph are parametrized by the coordinates at any fixed word.  A
 :class:`ChamberPoint` is a component, represented by its coordinates at
 the datum's canonical base word.
 
+Reversing a decorated word (its letters and its coordinates) commutes with
+both moves, and the reverse of a reduced word for w_0 is again one, since
+w_0 is an involution.  So the last coordinate at an i-last word is the
+first coordinate of the reversed decorated word at an i-first word, and
+:func:`rho_coord` is read that way.
+
 Transition paths are found by breadth-first search in the braid-move graph
 with lexicographically smallest neighbors first.  Each path is checked move
 by move once and compiled into a flat program of ints (``k0`` for a 2-move
@@ -39,7 +45,7 @@ from .cartan import CartanDatum, DiagramAutomorphism
 from .errors import WordError
 from .semifield import SemifieldValue, TropInt
 from .weyl import Word, _neighbor_letters, base_word, word_for_w0
-from .weyl import reduced_word_for_w0_ending_with, reduced_word_for_w0_starting_with
+from .weyl import reduced_word_for_w0_starting_with
 
 
 @dataclass(frozen=True)
@@ -272,8 +278,9 @@ def lambda_coord(cp: ChamberPoint, i: str) -> SemifieldValue:
 
 
 def rho_coord(cp: ChamberPoint, i: str) -> SemifieldValue:
-    """Last coordinate at any word ending with i (well defined)."""
-    return realize(cp, reduced_word_for_w0_ending_with(cp.datum, i)).coords[-1]
+    """Last coordinate at any word ending with i: lambda_i of the reversal."""
+    reversal = DecoratedWord(cp.word.reversed(), cp.coords[::-1])
+    return transition(reversal, reduced_word_for_w0_starting_with(cp.datum, i)).coords[0]
 
 
 def sigma_action(dw: DecoratedWord, sigma: DiagramAutomorphism) -> DecoratedWord:

@@ -12,8 +12,13 @@ expands (i, i', i) to (c, 2c, c).
 
 The induced map into chamber points does not depend on the filling and
 lands in the sigma-fixed points; reading the blocks back off any target
-folded word inverts it.  Composing the two gives transition maps between
-folded words.  For the rank-two folded datum with pairing matrix
+folded word inverts it, and the block pattern holds there exactly at the
+sigma-fixed points.  Composing the two gives transition maps between
+folded words, one transition each way.  Reversal commutes with unfolding
+(a reversed filling is again a filling), so the last coordinate at a
+folded word is the first coordinate of the reversed folded word.
+
+For the rank-two folded datum with pairing matrix
 ((2,-2),(-2,4)) the full transition has a closed form: with coordinates
 (d, c, b, a) on the word (2,1,2,1),
 
@@ -47,7 +52,7 @@ from .semifield import (
     nfold_sum,
 )
 from .weyl import orbit_longest, orbit_reduced_words, word_for_w0
-from .weyl import reduced_word_for_w0_ending_with, reduced_word_for_w0_starting_with
+from .weyl import reduced_word_for_w0_starting_with
 
 Filling = tuple[tuple[str, ...], ...]
 
@@ -145,15 +150,15 @@ def fold_coordinates(
     """Read the folded coordinates of a sigma-fixed chamber point.
 
     Transition to the unfolded target word, then read one coordinate per
-    block and validate the block pattern (constant on orthogonal orbits,
-    (c, 2c, c) on a joined pair).  A pattern failure means the input was
-    not sigma-fixed or an internal fault.
+    block and check the block pattern (constant on orthogonal orbits,
+    (c, 2c, c) on a joined pair).  The pattern alone decides
+    sigma-fixedness: where it holds the point is the s_map image of the
+    coordinates read, and every sigma-fixed point has it, so one
+    transition does the work of both.
     """
     letters = tuple(letters)
     if cp.datum != fd.source:
         raise FoldingError("datum-mismatch", "chamber point belongs to a different datum")
-    if not chamber.is_sigma_fixed(cp, fd.sigma):
-        raise FoldingError("not-sigma-fixed", "can only fold sigma-fixed chamber points")
     filling = default_filling(fd, letters)
     concat = tuple(i for orbit_word in filling for i in orbit_word)
     unfolded = realize(cp, word_for_w0(fd.source, concat))
@@ -168,10 +173,7 @@ def fold_coordinates(
         for entry, eps in zip(block, eps_each):
             expected = value if eps == eps_max else nfold_sum(2, value)
             if entry != expected:
-                raise FoldingError(
-                    "pattern-violation",
-                    f"block {orbit_word} does not carry the (c, 2c) pattern",
-                )
+                raise FoldingError("not-sigma-fixed", "can only fold sigma-fixed chamber points")
         coords.append(value)
     return FoldedDecoratedWord(fd, letters, tuple(coords))
 
@@ -227,9 +229,9 @@ def lambda_folded(fdw: FoldedDecoratedWord, eta: str) -> SemifieldValue:
 
 
 def rho_folded(fdw: FoldedDecoratedWord, eta: str) -> SemifieldValue:
-    """Last coordinate at a folded word ending with eta (well defined)."""
-    target = reduced_word_for_w0_ending_with(fdw.fold.folded, eta)
-    return folded_transition(fdw, target.letters).coords[-1]
+    """Last coordinate at a folded word ending with eta: lambda_eta of the reversal."""
+    reversal = FoldedDecoratedWord(fdw.fold, fdw.letters[::-1], fdw.coords[::-1])
+    return lambda_folded(reversal, eta)
 
 
 def lambda_point(cp: ChamberPoint, fd: FoldedDatum, eta: str) -> SemifieldValue:

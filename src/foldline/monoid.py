@@ -12,9 +12,14 @@ word for w_0 with natural exponents form a submonoid whose elements have a
 unique normal form: coordinates in N^N at the datum's base word, related
 across words by the tropical transition maps of :mod:`foldline.chamber`.
 Left multiplication by xi_i^n replaces the first coordinate c_1 by
-min(n, c_1) in any word starting with i; right multiplication mirrors this
-on the last coordinate.  General products expand the left factor into its
-generator string and act letter by letter.
+min(n, c_1) in any word starting with i.  General products expand the left
+factor into its generator string and act letter by letter.
+
+Relations (i)-(iii) read the same backwards (swap a and c in (iii)), so
+reading the generator string of m backwards is an anti-automorphism
+:func:`reverse`, costing one transport.  Every right-hand operation is its
+left twin conjugated by it: m xi_i^n = reverse(xi_i^n reverse(m)), and
+r_i(m) = l_i(reverse(m)).
 
 The crystal-operator structure is recovered from the monoid action: the
 string length l_i is the least n with xi_i^n m = m (equivalently the first
@@ -28,15 +33,14 @@ automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import chamber, folding
 from .cartan import CartanDatum, DiagramAutomorphism, FoldedDatum
 from .chamber import ChamberPoint, DecoratedWord
 from .errors import MonoidError
 from .semifield import TropNat
-from .weyl import Word, base_word, word_for_w0
-from .weyl import reduced_word_for_w0_ending_with, reduced_word_for_w0_starting_with
+from .weyl import Word, base_word, reduced_word_for_w0_starting_with, word_for_w0
 
 @dataclass(frozen=True)
 class MonoidGenerator:
@@ -101,17 +105,14 @@ def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
     return _from_word_coords(m.datum, word, coords)
 
 
+def reverse(m: MonoidElement) -> MonoidElement:
+    """The anti-automorphism reading m's generator string backwards."""
+    return _from_word_coords(m.datum, m.word.reversed(), m.coords[::-1])
+
+
 def right_mul_gen(m: MonoidElement, gen: MonoidGenerator) -> MonoidElement:
-    """m . xi_i^n: the mirror rule on the last coordinate of an i-last word."""
-    if gen.n < 0:
-        raise MonoidError(
-            "negative-exponent",
-            "only exponents n >= 0 stabilize the normal-form submonoid",
-        )
-    word = reduced_word_for_w0_ending_with(m.datum, gen.i)
-    coords = _coords_at(m, word)
-    coords[-1] = min(TropNat(gen.n).n, coords[-1])  # typed error for a non-integer n
-    return _from_word_coords(m.datum, word, coords)
+    """m . xi_i^n = reverse(xi_i^n . reverse(m))."""
+    return reverse(left_mul_gen(gen, reverse(m)))
 
 
 def generator_string(m: MonoidElement) -> tuple[MonoidGenerator, ...]:
@@ -179,18 +180,21 @@ def folded_mul(
 
 def l_coordinate(m: MonoidElement, i: str) -> int:
     """l_i read off coordinates: the first coordinate at an i-first word."""
-    return chamber.lambda_coord(m.chamber_point(), i).n
+    return _coords_at(m, reduced_word_for_w0_starting_with(m.datum, i))[0]
 
 
-def _least_fixing(m: MonoidElement, word: Word, fixes: Callable[[int], bool]) -> int:
-    """The least n >= 0 with fixes(n), which holds exactly when n >= the answer.
+def _scan(m: MonoidElement, i: str) -> int:
+    """The least n >= 0 with xi_i^n m = m, which holds exactly when n >= l_i.
 
     Doubling from n = 0 finds a fixing exponent, and bisection then narrows
-    it down, so the search costs O(log answer) generator actions.  One past
-    the largest coordinate at the scanned word dominates the answer and
-    bounds the search.
+    it down, so the search costs O(log l_i) generator actions.  One past the
+    largest coordinate at an i-first word dominates l_i and bounds the search.
     """
-    bound = max(_coords_at(m, word)) + 1
+
+    def fixes(n: int) -> bool:
+        return left_mul_gen(MonoidGenerator(i, n), m) == m
+
+    bound = max(_coords_at(m, reduced_word_for_w0_starting_with(m.datum, i))) + 1
     low, high = -1, 0  # fixes(low) is false; fixes(high) is the next test
     while not fixes(high):
         if high >= bound:
@@ -207,19 +211,18 @@ def _least_fixing(m: MonoidElement, word: Word, fixes: Callable[[int], bool]) ->
 
 def l_scan(m: MonoidElement, i: str) -> int:
     """l_i by generator scan: the least n with xi_i^n m = m."""
-    word = reduced_word_for_w0_starting_with(m.datum, i)
-    return _least_fixing(m, word, lambda n: left_mul_gen(MonoidGenerator(i, n), m) == m)
+    return _scan(m, i)
 
 
 def r_coordinate(m: MonoidElement, i: str) -> int:
-    """r_i read off coordinates: the last coordinate at an i-last word."""
-    return chamber.rho_coord(m.chamber_point(), i).n
+    """r_i read off coordinates: l_i of the reversal."""
+    return l_coordinate(reverse(m), i)
 
 
 def r_scan(m: MonoidElement, i: str) -> int:
-    """r_i by generator scan: the least n with m xi_i^n = m."""
-    word = reduced_word_for_w0_ending_with(m.datum, i)
-    return _least_fixing(m, word, lambda n: right_mul_gen(m, MonoidGenerator(i, n)) == m)
+    """r_i by generator scan: the least n with m xi_i^n = m, which is the
+    least n with xi_i^n reverse(m) = reverse(m)."""
+    return _scan(reverse(m), i)
 
 
 def lower_to_zero(m: MonoidElement, i: str) -> MonoidElement:

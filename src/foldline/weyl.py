@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cartan import CartanDatum, h_value, label_key
 from .errors import WordError
@@ -229,12 +229,6 @@ def reduced_word_for_w0_starting_with(datum: CartanDatum, i: str) -> Word:
     return Word(datum, (i,) + _greedy_min_word(datum, rest_inverse))
 
 
-@lru_cache(maxsize=None)
-def reduced_word_for_w0_ending_with(datum: CartanDatum, i: str) -> Word:
-    """A reduced word for w_0 with last letter i (reverse of the i-first word)."""
-    return reduced_word_for_w0_starting_with(datum, i).reversed()
-
-
 # ---------------------------------------------------------------------------
 # Braid moves and the word graph
 
@@ -369,25 +363,6 @@ def _assert_connected(graph: WordGraph) -> None:
                 frontier.append(b)
     if len(seen) != len(graph.vertices):
         raise WordError("disconnected", "braid-move graph is not connected")
-
-
-def bfs_words(datum: CartanDatum, seed: Word, limit: Optional[int] = None) -> Iterator[Word]:
-    """Lazy breadth-first enumeration from a seed word (for large graphs)."""
-    from collections import deque
-
-    seen = {seed.letters}
-    queue = deque([seed.letters])
-    emitted = 0
-    while queue:
-        current = queue.popleft()
-        yield Word(datum, current)
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
-        for letters, _, _ in _neighbor_letters(datum, current):
-            if letters not in seen:
-                seen.add(letters)
-                queue.append(letters)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,23 @@ class TestVerify:
         assert code == 0
         assert output.count("PASS") >= 10
 
+    def test_every_registry_check_is_reachable(self, capsys):
+        """Each non-chain registry entry runs as `verify <spelling>` under its own name."""
+        from foldline.checks import ALL_CHECKS
+
+        spellings = (
+            "path-independence", "tropical-b2", "monoid", "frobenius", "crystal",
+            "filling-independence", "closed-form", "word-counts",
+        )
+        reported = []
+        for spelling in spellings:
+            code, doc = run_json(capsys, "verify", spelling, "--trials", "5")
+            assert code == 0
+            reported.append(doc["payload"]["name"])
+        registry = [name for name, _ in ALL_CHECKS if not name.startswith("chain-")]
+        assert sorted(reported) == sorted(registry)
+        assert run(capsys, "verify", "monoid-laws")[0] == 2  # spellings are unchanged
+
 
 class TestWordErrors:
     """Typed errors from reduced-word validation reach the CLI unchanged."""

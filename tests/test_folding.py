@@ -10,7 +10,7 @@ import pytest
 
 import foldline
 from foldline.cartan import builtin, fold, identity_automorphism
-from foldline.chamber import canonical, decorated, is_sigma_fixed
+from foldline.chamber import ChamberPoint, canonical, decorated, is_sigma_fixed
 from foldline.errors import FoldingError, WordError
 from foldline.folding import (
     all_fillings,
@@ -32,6 +32,7 @@ from foldline.folding import (
     verify_chain_data,
 )
 from foldline.semifield import RATIONALS, TROP_INT, TROP_NAT, SymbolicSemifield
+from foldline.weyl import base_word
 
 R = RATIONALS.value
 T = TROP_INT.from_int
@@ -136,6 +137,41 @@ class TestFoldCoordinates:
         with pytest.raises(FoldingError) as error:
             fold_coordinates(FD_A3, point, START)
         assert error.value.kind == "not-sigma-fixed"
+
+    @pytest.mark.parametrize("name", ("a3", "a4", "d4"))
+    @pytest.mark.parametrize("model", ("tropz", "rat"))
+    def test_pattern_decides_sigma_fixedness(self, name, model):
+        """fold_coordinates folds exactly the points is_sigma_fixed accepts."""
+        fd = standard_folding(name)
+        rng = random.Random(61)
+        letters = base_word(fd.folded).letters
+        size = len(base_word(fd.source).letters)
+
+        def values(count):
+            if model == "tropz":
+                return [T(rng.randint(-4, 4)) for _ in range(count)]
+            return [R(Fraction(rng.randint(1, 5), rng.randint(1, 5))) for _ in range(count)]
+
+        seen = set()
+        for _ in range(25):
+            fixed = s_map(folded_decorated(fd, letters, values(len(letters))))
+            perturbed = list(fixed.coords)
+            k = rng.randrange(size)
+            perturbed[k] = perturbed[k] * (T(1) if model == "tropz" else R(2))
+            points = (fixed, ChamberPoint(fd.source, tuple(perturbed)),
+                      ChamberPoint(fd.source, tuple(values(size))))
+            for point in points:
+                expected = is_sigma_fixed(point, fd.sigma)
+                try:
+                    back = fold_coordinates(fd, point, letters)
+                except FoldingError as error:
+                    assert error.kind == "not-sigma-fixed"
+                    assert not expected
+                else:
+                    assert expected
+                    assert s_map(back).coords == point.coords
+                seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestFoldedTransition:

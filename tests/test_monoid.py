@@ -324,20 +324,22 @@ class TestStringLengths:
                 assert (l_scan(m, i), r_scan(m, i)) == (least_left, least_right)
 
     def test_scan_attempts_are_logarithmic(self, monkeypatch):
+        """r_scan acts on the reversal from the left; count those actions."""
         from foldline import monoid
 
         attempts = []
         limit = 2 * (10**8).bit_length() + 2
-        original = monoid.right_mul_gen
+        original = monoid.left_mul_gen
 
-        def counting(m, gen):
+        def counting(gen, m):
             attempts.append(gen.n)
             assert len(attempts) <= limit, "scan is not logarithmic"
-            return original(m, gen)
+            return original(gen, m)
 
-        monkeypatch.setattr(monoid, "right_mul_gen", counting)
+        monkeypatch.setattr(monoid, "left_mul_gen", counting)
         m = normal_form(A2, ("1", "2", "1"), (0, 0, 10**8))
         assert r_scan(m, "1") == 10**8
+        assert attempts, "the scan made no generator actions"
 
 
 class TestCrystal:

@@ -13,7 +13,6 @@ from foldline.semifield import TropNat
 from foldline.weyl import (
     WeylElement,
     base_word,
-    bfs_words,
     braid_neighbors,
     enumerate_reduced_words,
     longest_element,
@@ -124,13 +123,6 @@ class TestEnumeration:
         datum, _ = builtin("A2")
         dot = enumerate_reduced_words(datum).to_dot()
         assert '"(1,3)"' in dot and "1,2,1" in dot
-
-    def test_lazy_bfs(self):
-        datum, _ = builtin("A4")
-        seed = base_word(datum)
-        sample = list(bfs_words(datum, seed, limit=10))
-        assert len(sample) == 10
-        assert sample[0].letters == seed.letters
 
 
 class TestBraidMoves:
