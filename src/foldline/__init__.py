@@ -80,13 +80,7 @@ from .semifield import (
     SymRat,
     TropInt,
     TropNat,
-    add,
-    div,
-    iota,
-    iota_inv,
     model_by_name,
-    mul as semifield_mul,
-    nfold_sum,
     sym_equal,
 )
 from .weyl import (

@@ -20,12 +20,10 @@ from .errors import SemifieldError
 from .monoid import MonoidElement, MonoidGenerator, left_mul_gen, mul
 from .semifield import TROP_INT, TROP_NAT, SymbolicSemifield, TropNat
 from .weyl import (
-    WeylElement,
     Word,
     base_word,
     braid_neighbors,
     enumerate_reduced_words,
-    longest_element,
     word_for_w0,
 )
 
@@ -173,15 +171,45 @@ def check_path_independence() -> CheckResult:
     return _timed("path-independence", run)
 
 
+def _word_matrix(datum, letters, product=None) -> tuple[tuple[int, ...], ...]:
+    """The root-lattice matrix ``product`` (default the identity) times the
+    simple reflections of the letters, as plain matrix products; column j
+    is the image of alpha_j."""
+    n = datum.rank
+    if product is None:
+        product = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    for i in letters:
+        a = datum.index(i)
+        s = [[int(r == c) for c in range(n)] for r in range(n)]
+        for c, j in enumerate(datum.labels):
+            s[a][c] -= datum.cartan_integer(i, j)
+        product = tuple(
+            tuple(sum(row[k] * s[k][c] for k in range(n)) for c in range(n)) for row in product
+        )
+    return product
+
+
 def brute_force_word_count(name: str) -> int:
-    """Independent oracle: try every sequence of length N in the alphabet."""
+    """Independent oracle: the number of shortest words whose root-lattice
+    product sends every simple root negative, which only w_0 does.
+
+    Every word of length 0, 1, 2, ... is tried, sharing the products of
+    common prefixes, until one does; nothing of :mod:`foldline.weyl` is used.
+    """
     datum, _ = builtin(name)
-    w0, n = longest_element(datum)
-    return sum(
-        1
-        for letters in itertools.product(datum.labels, repeat=n)
-        if WeylElement.from_word(datum, letters).matrix == w0.matrix
-    )
+
+    def count(product, depth):
+        if depth == 0:
+            return int(all(any(x < 0 for x in column) for column in zip(*product)))
+        return sum(
+            count(_word_matrix(datum, (i,), product), depth - 1) for i in datum.labels
+        )
+
+    identity = _word_matrix(datum, ())
+    for depth in itertools.count():
+        found = count(identity, depth)
+        if found:
+            return found
 
 
 def check_word_counts() -> CheckResult:

@@ -45,12 +45,7 @@ from .cartan import FoldedDatum, builtin, fold
 from .chamber import ChamberPoint, DecoratedWord, canonical, realize
 from .errors import FoldingError, FoldlineError
 from .exprs import parse_value
-from .semifield import (
-    SemifieldValue,
-    SymbolicSemifield,
-    TropInt,
-    nfold_sum,
-)
+from .semifield import SemifieldValue, SymbolicSemifield, TropInt
 from .weyl import orbit_longest, orbit_reduced_words, word_for_w0
 from .weyl import reduced_word_for_w0_starting_with
 
@@ -127,7 +122,7 @@ def unfold(
         letters.extend(orbit_word)
         for eps in eps_each:
             # the only ratio that occurs is eps_max/eps in {1, 2}
-            coords.append(value if eps == eps_max else nfold_sum(2, value))
+            coords.append(value if eps == eps_max else 2 * value)
     return DecoratedWord(word_for_w0(fd.source, tuple(letters)), tuple(coords))
 
 
@@ -156,7 +151,7 @@ def fold_coordinates(
     coordinates read, and every sigma-fixed point has it, so one
     transition does the work of both.
     """
-    letters = tuple(letters)
+    letters = word_for_w0(fd.folded, letters).letters
     if cp.datum != fd.source:
         raise FoldingError("datum-mismatch", "chamber point belongs to a different datum")
     filling = default_filling(fd, letters)
@@ -171,7 +166,7 @@ def fold_coordinates(
         read_at = eps_each.index(eps_max)
         value = block[read_at]
         for entry, eps in zip(block, eps_each):
-            expected = value if eps == eps_max else nfold_sum(2, value)
+            expected = value if eps == eps_max else 2 * value
             if entry != expected:
                 raise FoldingError("not-sigma-fixed", "can only fold sigma-fixed chamber points")
         coords.append(value)
@@ -259,7 +254,7 @@ def b2_closed_form(coords: Sequence[SemifieldValue]) -> tuple[SemifieldValue, ..
         raise FoldingError("bad-coords", "the closed form takes four coordinates")
     d, c, b, a = coords
     alpha = a * b + a * d + c * d
-    eps = a * b**2 + a * d**2 + c * d**2 + nfold_sum(2, a * b * d)
+    eps = a * b**2 + a * d**2 + c * d**2 + 2 * (a * b * d)
     return (a * b**2 * c / eps, eps / alpha, alpha**2 / eps, b * c * d / alpha)
 
 
@@ -427,7 +422,7 @@ def verify_chain(chain_id: str) -> ChainCertificate:
 # Cross-model comparison
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def standard_folding(model_name: str) -> FoldedDatum:
     """The two foldings producing the rank-two datum ((2,-2),(-2,4)),
     plus the triality folding producing ((6,-3),(-3,2))."""

@@ -330,17 +330,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> int:
-        if self.is_zero():
-            return 0
-        [(e, c)] = self.terms.items()
-        return c
-
     def is_one(self) -> bool:
-        return self.is_constant() and self.constant_value() == 1
+        return self.terms == {(0,) * self.nvars: 1}
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -373,11 +364,6 @@ class Poly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.nvars, out)
-
-    def scale(self, k: int) -> "Poly":
-        if k == 1:
-            return self
-        return Poly(self.nvars, {e: c * k for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -722,44 +708,20 @@ class SymRat(SemifieldValue):
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations (the functional face of the value methods)
-
-
-def add(a: SemifieldValue, b: SemifieldValue) -> SemifieldValue:
-    return a + b
-
-
-def mul(a: SemifieldValue, b: SemifieldValue) -> SemifieldValue:
-    return a * b
-
-
-def div(a: SemifieldValue, b: SemifieldValue) -> SemifieldValue:
-    return a / b
-
-
-def nfold_sum(k: int, a: SemifieldValue) -> SemifieldValue:
-    """a + a + ... + a with k summands (k >= 1)."""
-    return a.nfold(k)
+# Symbolic equality with a typed failure
 
 
 def sym_equal(a: SymRat, b: SymRat) -> bool:
-    """Cross-multiplied equality of symbolic values (same variable set)."""
+    """Cross-multiplied equality of symbolic values over one variable set.
+
+    Unlike ``==``, which answers False, a value from another model or
+    another variable set raises ``model-mismatch``.
+    """
     if not isinstance(a, SymRat) or not isinstance(b, SymRat):
         raise SemifieldError("model-mismatch", "sym_equal needs two symbolic values")
     if a.model != b.model:
         raise SemifieldError("model-mismatch", "symbolic values over different variables")
     return a == b
-
-
-def iota(model: Semifield, n: int) -> SemifieldValue:
-    """The tagged-value coercion Z -> K (N -> K for the natural model)."""
-    return model.from_int(n)
-
-
-def iota_inv(value: SemifieldValue) -> int:
-    if not isinstance(value, TropInt):
-        raise SemifieldError("model-mismatch", "iota_inv is defined on tropical values")
-    return value.n
 
 
 MODELS: dict[str, Semifield] = {

@@ -1,17 +1,13 @@
 """Weyl group elements, reduced words for the longest element, braid moves.
 
-Elements are integer matrices acting on the root lattice in the basis of
-simple roots: s_i sends alpha_j to alpha_j - (2 i.j / i.i) alpha_i.  In
-finite type every root image has coordinates of one sign, so descent tests
-reduce to a sign check and lengths are computed by walking down to the
-identity.  The longest element w_0 is found by greedy ascent.
-
-A word of length N = l(w_0) is checked to be a reduced word for w_0 without
-any matrix: rho is regular, so the word multiplies to w_0 exactly when it
-sends rho to -rho, and each letter acts on fundamental-weight coordinates by
-a rank-one update, O(N rank) in all.  The matrices remain for the longest
-element, the enumeration of reduced words and the brute-force word-count
-oracle in :mod:`foldline.checks`.
+An element w is stored as the vector w^{-1}(rho) in fundamental-weight
+coordinates, starting from rho = (1, ..., 1).  Each letter s_i acts by a
+rank-one update, so a word of length l costs O(l rank).  rho is regular,
+so the vector determines w: the identity is (1, ..., 1), w_0 is
+(-1, ..., -1), and the right descents of w are the labels whose entry is
+negative.  Lengths and least reduced words come from walking down the
+descents to rho.  A word of length N = l(w_0) is a reduced word for w_0
+exactly when it sends rho to -rho.
 
 Reduced words for w_0 form a graph whose edges are braid moves: replace an
 alternating segment (p, p', p, ...) of length h(p, p') by the segment
@@ -29,106 +25,7 @@ from typing import Optional, Sequence
 from .cartan import CartanDatum, h_value, label_key
 from .errors import WordError
 
-Matrix = tuple[tuple[int, ...], ...]
-
 DEFAULT_ENUMERATION_CAP = 10**6
-
-
-@lru_cache(maxsize=None)
-def _identity(rank: int) -> Matrix:
-    return tuple(tuple(int(a == b) for b in range(rank)) for a in range(rank))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
-def simple_reflection_matrix(datum: CartanDatum, i: str) -> Matrix:
-    """Matrix of s_i: columns are images of the simple roots."""
-    n = datum.rank
-    idx = datum.index(i)
-    rows = [[int(a == b) for b in range(n)] for a in range(n)]
-    for j, label in enumerate(datum.labels):
-        rows[idx][j] -= datum.cartan_integer(i, label)
-    return tuple(tuple(row) for row in rows)
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element as its root-lattice matrix."""
-
-    datum: CartanDatum
-    matrix: Matrix
-
-    @classmethod
-    def identity(cls, datum: CartanDatum) -> "WeylElement":
-        return cls(datum, _identity(datum.rank))
-
-    @classmethod
-    def simple(cls, datum: CartanDatum, i: str) -> "WeylElement":
-        return cls(datum, simple_reflection_matrix(datum, i))
-
-    @classmethod
-    def from_word(cls, datum: CartanDatum, letters: Sequence[str]) -> "WeylElement":
-        out = _identity(datum.rank)
-        for i in letters:
-            out = _mat_mul(out, simple_reflection_matrix(datum, i))
-        return cls(datum, out)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.datum, _mat_mul(self.matrix, other.matrix))
-
-    def times_simple(self, i: str) -> "WeylElement":
-        return WeylElement(
-            self.datum, _mat_mul(self.matrix, simple_reflection_matrix(self.datum, i))
-        )
-
-    def is_identity(self) -> bool:
-        return self.matrix == _identity(self.datum.rank)
-
-    def sends_root_negative(self, i: str) -> bool:
-        """True iff this element maps alpha_i to a negative root."""
-        idx = self.datum.index(i)
-        return any(row[idx] < 0 for row in self.matrix)
-
-    def right_descents(self) -> list[str]:
-        return [i for i in self.datum.labels if self.sends_root_negative(i)]
-
-    def length(self) -> int:
-        return _length(self.datum, self.matrix)
-
-
-@lru_cache(maxsize=None)
-def _length(datum: CartanDatum, matrix: Matrix) -> int:
-    element = WeylElement(datum, matrix)
-    steps = 0
-    while not element.is_identity():
-        descents = element.right_descents()
-        if not descents:
-            raise WordError("not-a-weyl-element", "descent walk failed to reach identity")
-        element = element.times_simple(descents[0])
-        steps += 1
-    return steps
-
-
-@lru_cache(maxsize=None)
-def longest_element(datum: CartanDatum) -> tuple[WeylElement, int]:
-    """w_0 and N = l(w_0), by greedy ascent from the identity."""
-    element = WeylElement.identity(datum)
-    length = 0
-    while True:
-        ascent = next(
-            (i for i in datum.labels if not element.sends_root_negative(i)), None
-        )
-        if ascent is None:
-            return element, length
-        element = element.times_simple(ascent)
-        length += 1
 
 
 @dataclass(frozen=True)
@@ -167,23 +64,14 @@ def _rho_updates(datum: CartanDatum) -> dict[str, tuple[int, tuple[tuple[int, in
     return updates
 
 
-def word_for_w0(datum: CartanDatum, letters: Sequence[str]) -> Word:
-    """Validate that the letters form a reduced word for w_0.
+def _apply(datum: CartanDatum, rho: Sequence[int], letters: Sequence[str]) -> tuple[int, ...]:
+    """Act on a vector in fundamental-weight coordinates with each letter in turn.
 
-    rho is regular, so a word of length N = l(w_0) multiplies to w_0 exactly
-    when it sends rho to w_0(rho) = -rho.  The letters act on rho = (1, ..., 1)
-    in fundamental-weight coordinates, where s_i is the rank-one update
-    lambda_j -= lambda_i <alpha_i, alpha_j^vee>; the letters are read left to
-    right, which computes w^{-1}(rho), and w^{-1} = w_0 iff w = w_0.
+    s_i is the rank-one update lambda_j -= lambda_i <alpha_i, alpha_j^vee>.
+    Read left to right from rho, the letters of a word for w give w^{-1}(rho).
     """
-    letters = tuple(letters)
-    _, n = longest_element(datum)
-    if len(letters) != n:
-        raise WordError(
-            "not-reduced", f"expected a word of length {n}, got {len(letters)}"
-        )
     updates = _rho_updates(datum)
-    weight = [1] * datum.rank
+    weight = list(rho)
     for i in letters:
         entry = updates.get(i)
         if entry is None:
@@ -192,41 +80,104 @@ def word_for_w0(datum: CartanDatum, letters: Sequence[str]) -> Word:
         c = weight[a]
         for b, cartan in column:
             weight[b] -= c * cartan
-    if any(x != -1 for x in weight):
+    return tuple(weight)
+
+
+def _descents(datum: CartanDatum, rho: tuple[int, ...]) -> list[str]:
+    """The right descents of the element w with w^{-1}(rho) = rho."""
+    return [i for i, x in zip(datum.labels, rho) if x < 0]
+
+
+@dataclass(frozen=True)
+class WeylElement:
+    """A Weyl group element w as the vector w^{-1}(rho) in fundamental-weight
+    coordinates.  rho is regular, so the vector determines w; the right
+    descents of w are the labels whose entry is negative."""
+
+    datum: CartanDatum
+    rho: tuple[int, ...]
+
+    @classmethod
+    def identity(cls, datum: CartanDatum) -> "WeylElement":
+        return cls(datum, (1,) * datum.rank)
+
+    @classmethod
+    def from_word(cls, datum: CartanDatum, letters: Sequence[str]) -> "WeylElement":
+        return cls(datum, _apply(datum, (1,) * datum.rank, letters))
+
+    def times_simple(self, i: str) -> "WeylElement":
+        return WeylElement(self.datum, _apply(self.datum, self.rho, (i,)))
+
+    def is_identity(self) -> bool:
+        return all(x == 1 for x in self.rho)
+
+    def right_descents(self) -> list[str]:
+        return _descents(self.datum, self.rho)
+
+    def length(self) -> int:
+        # the walk from w^{-1}(rho) spells a reduced word for w^{-1}
+        return len(_greedy_min_word(self.datum, self.rho))
+
+
+def _greedy_min_word(datum: CartanDatum, image: tuple[int, ...]) -> tuple[str, ...]:
+    """Lexicographically least reduced word of the element w with w(rho) = image.
+
+    The first letter of a word for w is a left descent i of w, a negative
+    entry of w(rho); s_i w(rho) is then the image of the rest.  Each step
+    raises the pairing with rho^vee, so the walk ends, at rho exactly when
+    the vector lies on the orbit of rho.
+    """
+    ordered = [(datum.index(i), i) for i in sorted(datum.labels, key=label_key)]
+    letters = []
+    while True:
+        i = next((i for a, i in ordered if image[a] < 0), None)
+        if i is None:
+            break
+        letters.append(i)
+        image = _apply(datum, image, (i,))
+    if any(x != 1 for x in image):
+        raise WordError("not-a-weyl-element", "descent walk failed to reach identity")
+    return tuple(letters)
+
+
+@lru_cache(maxsize=64)
+def longest_element(datum: CartanDatum) -> tuple[WeylElement, int]:
+    """w_0 and N = l(w_0): w_0(rho) = -rho."""
+    w0 = WeylElement(datum, (-1,) * datum.rank)
+    return w0, w0.length()
+
+
+def word_for_w0(datum: CartanDatum, letters: Sequence[str]) -> Word:
+    """Validate that the letters form a reduced word for w_0.
+
+    rho is regular, so a word of length N = l(w_0) multiplies to w_0 exactly
+    when it sends rho to w_0(rho) = -rho; the letters compute w^{-1}(rho),
+    and w^{-1} = w_0 iff w = w_0.
+    """
+    letters = tuple(letters)
+    _, n = longest_element(datum)
+    if len(letters) != n:
+        raise WordError(
+            "not-reduced", f"expected a word of length {n}, got {len(letters)}"
+        )
+    if any(x != -1 for x in _apply(datum, (1,) * datum.rank, letters)):
         raise WordError("not-reduced", f"{','.join(letters)} does not multiply to w_0")
     return Word(datum, letters)
 
 
-def _greedy_min_word(datum: CartanDatum, inverse: WeylElement) -> tuple[str, ...]:
-    """Lexicographically least reduced word of the element inverse^{-1}.
-
-    The first letter of a word for w is a left descent of w, i.e. a right
-    descent of w^{-1}; choosing the minimum and stepping keeps everything
-    on the inverse side where descents are cheap.
-    """
-    ordered = sorted(datum.labels, key=label_key)
-    letters = []
-    while not inverse.is_identity():
-        i = next(x for x in ordered if inverse.sends_root_negative(x))
-        letters.append(i)
-        inverse = inverse.times_simple(i)
-    return tuple(letters)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def base_word(datum: CartanDatum) -> Word:
     """The canonical base point: the lexicographically least word for w_0."""
     w0, _ = longest_element(datum)
-    return Word(datum, _greedy_min_word(datum, w0))  # w_0 is an involution
+    return Word(datum, _greedy_min_word(datum, w0.rho))  # w_0 is an involution
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def reduced_word_for_w0_starting_with(datum: CartanDatum, i: str) -> Word:
     """A reduced word for w_0 with first letter i (greedy completion)."""
-    datum.index(i)
     w0, _ = longest_element(datum)
-    rest_inverse = w0.times_simple(i)  # (s_i w_0)^{-1} = w_0 s_i
-    return Word(datum, (i,) + _greedy_min_word(datum, rest_inverse))
+    rest = w0.times_simple(i).rho  # (s_i w_0)(rho) = s_i(-rho)
+    return Word(datum, (i,) + _greedy_min_word(datum, rest))
 
 
 # ---------------------------------------------------------------------------
@@ -266,37 +217,35 @@ def _neighbor_letters(datum: CartanDatum, letters: tuple[str, ...]):
     )
 
 
-def _count_words(datum: CartanDatum, matrix: Matrix, memo: dict, cap: int) -> int:
-    if matrix in memo:
-        return memo[matrix]
-    element = WeylElement(datum, matrix)
-    if element.is_identity():
-        memo[matrix] = 1
-        return 1
-    total = 0
-    for i in element.right_descents():
-        total += _count_words(datum, element.times_simple(i).matrix, memo, cap)
-        if total > cap:
-            raise WordError(
-                "cap-exceeded", f"more than {cap} reduced words; raise the cap"
-            )
-    memo[matrix] = total
-    return total
+def _count_words(datum: CartanDatum, rho: tuple[int, ...], memo: dict, cap: int) -> int:
+    """Number of reduced words of the element w with w^{-1}(rho) = rho.
+
+    A pass of its own before :func:`_collect_words`, so the cap is enforced
+    before any word list is built; a merged walk would reach a node past
+    the cap only after building its children's lists of up to cap words.
+    """
+    if rho not in memo:
+        descents = _descents(datum, rho)
+        total = 0 if descents else 1
+        for i in descents:
+            total += _count_words(datum, _apply(datum, rho, (i,)), memo, cap)
+            if total > cap:
+                raise WordError(
+                    "cap-exceeded", f"more than {cap} reduced words; raise the cap"
+                )
+        memo[rho] = total
+    return memo[rho]
 
 
-def _collect_words(datum: CartanDatum, matrix: Matrix, memo: dict) -> tuple:
-    if matrix in memo:
-        return memo[matrix]
-    element = WeylElement(datum, matrix)
-    if element.is_identity():
-        memo[matrix] = ((),)
-        return memo[matrix]
-    words = []
-    for i in element.right_descents():
-        for prefix in _collect_words(datum, element.times_simple(i).matrix, memo):
-            words.append(prefix + (i,))
-    memo[matrix] = tuple(words)
-    return memo[matrix]
+def _collect_words(datum: CartanDatum, rho: tuple[int, ...], memo: dict) -> tuple:
+    if rho not in memo:
+        words = tuple(
+            prefix + (i,)
+            for i in _descents(datum, rho)
+            for prefix in _collect_words(datum, _apply(datum, rho, (i,)), memo)
+        )
+        memo[rho] = words or ((),)  # no descents: the identity and its empty word
+    return memo[rho]
 
 
 @dataclass(frozen=True)
@@ -327,14 +276,14 @@ def enumerate_reduced_words(
 ) -> WordGraph:
     """All reduced words of an element (default w_0), with braid edges.
 
-    Depth-first search over length-decreasing suffixes, memoized on group
-    elements; raises kind ``cap-exceeded`` beyond ``cap`` words.  The graph
-    is asserted connected.
+    Depth-first search over length-decreasing suffixes, memoized on the
+    vectors of group elements; raises kind ``cap-exceeded`` beyond ``cap``
+    words.  The graph is asserted connected.
     """
     if element is None:
         element, _ = longest_element(datum)
-    _count_words(datum, element.matrix, {}, cap)
-    vertices = tuple(sorted(_collect_words(datum, element.matrix, {})))
+    _count_words(datum, element.rho, {}, cap)
+    vertices = tuple(sorted(_collect_words(datum, element.rho, {})))
     index = {letters: i for i, letters in enumerate(vertices)}
     edges = set()
     for letters, a in index.items():
@@ -369,7 +318,7 @@ def _assert_connected(graph: WordGraph) -> None:
 # Orbit subgroups for folding
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def orbit_longest(
     datum: CartanDatum, orbit: tuple[str, ...]
 ) -> tuple[WeylElement, int, tuple[str, ...]]:

@@ -194,6 +194,20 @@ class TestFolded:
         assert code == 0
         assert doc["payload"]["coords"] == ["1/5", "5/3", "9/5", "1/3"]
 
+    def folded_to(self, capsys, goal):
+        return run_json(
+            capsys, "folded", "transition", "--model", "a3", "--from", "2,1,2,1",
+            "--to", goal, "--coords", "1,1,1,1",
+        )
+
+    def test_target_word_checked_in_the_folded_datum(self, capsys):
+        code, doc = self.folded_to(capsys, "1,2,1,1")
+        assert (code, doc["kind"]) == (1, "not-reduced")
+        assert doc["message"] == "1,2,1,1 does not multiply to w_0"
+        code, doc = self.folded_to(capsys, "1,2,1")
+        assert (code, doc["kind"]) == (1, "not-reduced")
+        assert doc["message"] == "expected a word of length 4, got 3"
+
     def test_compare_models_symbolic(self, capsys):
         code, doc = run_json(
             capsys, "folded", "compare-models", "--coords", "d,c,b,a", "--semifield", "sym"

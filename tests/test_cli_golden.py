@@ -3,9 +3,11 @@
 ``data/cli_golden.json`` holds the exit code and stdout of every call in
 :data:`CALLS`, recorded before the right-hand reads (``rho``, ``r_scan``,
 ``r_coordinate``, ``rho_folded``) were derived from their left twins by
-word reversal.  Symbolic representatives are compared as printed, so a
-change of braid path that rewrites a ``sym`` value shows up here even when
-the value is equal.
+word reversal.  One entry, the folded transition to ``1,2,1,1``, was
+re-recorded when folded target words began to be checked in the folded
+datum before unfolding.  Symbolic representatives are compared as
+printed, so a change of braid path that rewrites a ``sym`` value shows up
+here even when the value is equal.
 
 To re-record after an intended output change: ``PYTHONPATH=src python
 tests/test_cli_golden.py``.

@@ -138,6 +138,19 @@ class TestFoldCoordinates:
             fold_coordinates(FD_A3, point, START)
         assert error.value.kind == "not-sigma-fixed"
 
+    @pytest.mark.parametrize(
+        "goal, message",
+        [
+            (("1", "2", "1", "1"), "1,2,1,1 does not multiply to w_0"),
+            (("1", "2", "1"), "expected a word of length 4, got 3"),
+        ],
+    )
+    def test_target_word_checked_before_unfolding(self, goal, message):
+        fdw = folded_decorated(FD_A3, START, tuple(map(R, (1, 1, 1, 1))))
+        with pytest.raises(WordError) as error:
+            folded_transition(fdw, goal)
+        assert (error.value.kind, str(error.value)) == ("not-reduced", message)
+
     @pytest.mark.parametrize("name", ("a3", "a4", "d4"))
     @pytest.mark.parametrize("model", ("tropz", "rat"))
     def test_pattern_decides_sigma_fixedness(self, name, model):

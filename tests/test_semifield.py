@@ -13,12 +13,6 @@ from foldline.semifield import (
     TROP_NAT,
     Poly,
     SymbolicSemifield,
-    add,
-    div,
-    iota,
-    iota_inv,
-    mul,
-    nfold_sum,
     sym_equal,
 )
 
@@ -33,13 +27,13 @@ def sym_vars():
 class TestExamples:
     def test_tropical_min_plus_minus(self):
         three, five = TROP_INT.from_int(3), TROP_INT.from_int(5)
-        assert add(three, five).n == 3
-        assert mul(three, five).n == 8
-        assert div(three, five).n == -2
+        assert (three + five).n == 3
+        assert (three * five).n == 8
+        assert (three / five).n == -2
 
     def test_rational_division(self):
         one, two = RATIONALS.value(1), RATIONALS.value(2)
-        assert div(one, two).q == Fraction(1, 2)
+        assert (one / two).q == Fraction(1, 2)
 
     def test_symbolic_identities(self):
         x, y, _ = sym_vars()
@@ -48,17 +42,17 @@ class TestExamples:
         assert x * y / (x + x) == (y / two) * (x / x)
 
     def test_nfold_sum(self):
-        assert nfold_sum(2, RATIONALS.value(3)).q == 6
-        assert nfold_sum(2, TROP_INT.from_int(3)).n == 3
+        assert (2 * RATIONALS.value(3)).q == 6
+        assert (2 * TROP_INT.from_int(3)).n == 3
         x, _, _ = sym_vars()
-        doubled = nfold_sum(2, x)
-        assert doubled == x + x
+        doubled = 2 * x
+        assert doubled == x + x == x * 2 == x.nfold(2)
         assert str(doubled) == "2*x"
 
     def test_sym_equal(self):
         x, y, _ = sym_vars()
         assert sym_equal(x + y, y + x)
-        assert sym_equal(x * y / (x + x), x * y / nfold_sum(2, x))
+        assert sym_equal(x * y / (x + x), x * y / (2 * x))
         model = SymbolicSemifield(("a", "b", "c", "d"))
         env = model.vars()
         left = parse_value("a*b + a*d + c*d", model, env)
@@ -66,20 +60,21 @@ class TestExamples:
         assert not sym_equal(left, right)
 
     def test_iota(self):
-        assert iota(TROP_INT, 0).n == 0
-        assert iota_inv(iota(TROP_INT, 7)) == 7
+        assert TROP_INT.from_int(0).n == 0
+        assert TROP_INT.from_int(7).n == 7
+        assert TROP_INT.from_int(0) == TROP_INT.one()
         with pytest.raises(SemifieldError) as error:
-            iota(TROP_NAT, -1)
+            TROP_NAT.from_int(-1)
         assert error.value.kind == "tropnat-range"
 
     def test_tropnat_underflow(self):
         with pytest.raises(SemifieldError) as error:
-            div(TROP_NAT.from_int(3), TROP_NAT.from_int(5))
+            TROP_NAT.from_int(3) / TROP_NAT.from_int(5)
         assert error.value.kind == "tropnat-underflow"
 
     def test_model_mismatch(self):
         with pytest.raises(SemifieldError) as error:
-            add(TROP_INT.from_int(1), TROP_NAT.from_int(1))
+            TROP_INT.from_int(1) + TROP_NAT.from_int(1)
         assert error.value.kind == "model-mismatch"
         with pytest.raises(SemifieldError):
             sym_equal(sym_vars()[0], SymbolicSemifield(("u",)).var("u"))
@@ -92,7 +87,7 @@ class TestExamples:
 
     def test_rendering(self):
         x, y, _ = sym_vars()
-        assert str(nfold_sum(2, x * y * y)) == "2*x*y^2"
+        assert str(2 * (x * y * y)) == "2*x*y^2"
         assert str((x + y) / x) == "(x + y) / x"
 
 
@@ -129,8 +124,8 @@ class TestAxioms:
 
     @given(nats)
     def test_nfold_double(self, a):
-        assert nfold_sum(2, TROP_INT.from_int(a)) == TROP_INT.from_int(a)
-        assert nfold_sum(2, RATIONALS.value(a + 1)).q == 2 * (a + 1)
+        assert 2 * TROP_INT.from_int(a) == TROP_INT.from_int(a)
+        assert (2 * RATIONALS.value(a + 1)).q == 2 * (a + 1)
 
     def test_symbolic_laws(self):
         x, y, z = sym_vars()

@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from foldline import chamber, checks, monoid
+from foldline import checks, weyl
 from foldline.cartan import builtin, fold
 from foldline.errors import DatumError, WordError
 from foldline.folding import standard_folding
-from foldline.semifield import TropNat
 from foldline.weyl import (
     WeylElement,
     base_word,
@@ -33,7 +32,10 @@ class TestLongestElement:
         w0, length = longest_element(datum)
         assert length == n
         assert w0.length() == n
-        assert (w0 * w0).is_identity()
+        assert w0.rho == (-1,) * datum.rank
+        base = base_word(datum).letters
+        assert WeylElement.from_word(datum, base).rho == w0.rho
+        assert WeylElement.from_word(datum, base + base).is_identity()  # w_0 w_0 = 1
 
     def test_g2_length(self):
         fd = fold(*builtin("D4+triality"))
@@ -42,8 +44,10 @@ class TestLongestElement:
     def test_generator_involution(self):
         datum, _ = builtin("A3")
         for i in datum.labels:
-            s = WeylElement.simple(datum, i)
-            assert (s * s).is_identity()
+            s = WeylElement.identity(datum).times_simple(i)
+            assert not s.is_identity() and s.right_descents() == [i]
+            assert s.times_simple(i).is_identity()
+            assert WeylElement.from_word(datum, (i, i)).is_identity()
 
     def test_length_is_minimal_word_length(self):
         """Brute force over all short words: length = least realizing length."""
@@ -51,11 +55,11 @@ class TestLongestElement:
         shortest = {}
         for length in range(0, 4):
             for letters in itertools.product(datum.labels, repeat=length):
-                matrix = WeylElement.from_word(datum, letters).matrix
-                shortest.setdefault(matrix, length)
+                rho = WeylElement.from_word(datum, letters).rho
+                shortest.setdefault(rho, length)
         assert len(shortest) == 6
-        for matrix, length in shortest.items():
-            assert WeylElement(datum, matrix).length() == length
+        for rho, length in shortest.items():
+            assert WeylElement(datum, rho).length() == length
 
 
 class TestWordsStartingWith:
@@ -86,13 +90,13 @@ class TestEnumeration:
     def test_a3_against_brute_force(self):
         datum, _ = builtin("A3")
         graph = enumerate_reduced_words(datum)
-        w0, n = longest_element(datum)
+        _, n = longest_element(datum)
         oracle = sum(
             1
             for letters in itertools.product(datum.labels, repeat=n)
-            if WeylElement.from_word(datum, letters).matrix == w0.matrix
+            if _negates_every_root(checks._word_matrix(datum, letters))
         )
-        assert len(graph.vertices) == oracle == 16
+        assert len(graph.vertices) == oracle == checks.brute_force_word_count("A3") == 16
 
     def test_b2_words(self):
         datum, _ = builtin("B:n=2")
@@ -106,7 +110,8 @@ class TestEnumeration:
         w0, n = longest_element(datum)
         for letters in enumerate_reduced_words(datum).vertices:
             assert len(letters) == n
-            assert WeylElement.from_word(datum, letters).matrix == w0.matrix
+            assert WeylElement.from_word(datum, letters) == w0
+            assert _negates_every_root(checks._word_matrix(datum, letters))
 
     def test_cap(self):
         datum, _ = builtin("A4")
@@ -151,7 +156,7 @@ class TestBraidMoves:
         w0, _ = longest_element(datum)
         for letters in enumerate_reduced_words(datum).vertices:
             for word, _, _ in braid_neighbors(word_for_w0(datum, letters)):
-                assert WeylElement.from_word(datum, word.letters).matrix == w0.matrix
+                assert WeylElement.from_word(datum, word.letters) == w0
 
     def test_not_reduced_rejected(self):
         datum, _ = builtin("A2")
@@ -196,9 +201,9 @@ class TestOrbits:
     def test_folded_subgroup_identification(self):
         """w_1bar w_2bar w_1bar w_2bar equals w_0 in the D-style source."""
         datum, _ = builtin("Dstyle:n=2")
-        w1 = orbit_longest(datum, ("1",))[0]
-        w2 = orbit_longest(datum, ("2", "2'"))[0]
-        assert (w1 * w2 * w1 * w2).matrix == longest_element(datum)[0].matrix
+        w1 = orbit_longest(datum, ("1",))[2]
+        w2 = orbit_longest(datum, ("2", "2'"))[2]
+        assert WeylElement.from_word(datum, w1 + w2 + w1 + w2) == longest_element(datum)[0]
 
     def test_unfolded_length_is_additive(self):
         fd = fold(*builtin("A4+flip"))
@@ -208,10 +213,16 @@ class TestOrbits:
         assert longest_element(fd.source)[1] == 2 * blocks["1"] + 2 * blocks["2"]
 
 
+def _negates_every_root(matrix):
+    """True iff the root-lattice matrix sends every simple root negative,
+    which only w_0 does."""
+    return all(any(x < 0 for x in column) for column in zip(*matrix))
+
+
 def _matrix_check(datum, letters):
     """The matrix-product reference for word_for_w0."""
-    w0, n = longest_element(datum)
-    return len(letters) == n and WeylElement.from_word(datum, letters).matrix == w0.matrix
+    _, n = longest_element(datum)
+    return len(letters) == n and _negates_every_root(checks._word_matrix(datum, letters))
 
 
 def _rho_check(datum, letters):
@@ -279,25 +290,62 @@ class TestRhoCheck:
         assert error.value.kind == "not-reduced"
         assert str(error.value) == "expected a word of length 3, got 2"
 
-    def test_hot_paths_build_no_matrices(self, monkeypatch):
-        """Word validation in chamber, folding and monoid multiplies no matrices;
-        the brute-force oracle still does."""
-        fd = standard_folding("a4")
-        coords = (1, 0, 2, 1)
-        letters = ("1", "2", "1", "2")
-        monoid.folded_mul(fd, coords, coords, letters)  # fills the per-orbit caches
-        calls = []
-        original = WeylElement.from_word.__func__
 
-        def counting(cls, datum, word):
-            calls.append(tuple(word))
-            return original(cls, datum, word)
+class TestRhoVector:
+    """An element is its vector w^{-1}(rho); root-lattice matrices are the reference."""
 
-        monkeypatch.setattr(WeylElement, "from_word", classmethod(counting))
-        a3, _ = builtin("A3")
-        chamber.decorated(a3, base_word(a3).letters, [TropNat(1)] * 6)
-        monoid.normal_form(a3, base_word(a3).letters, [1] * 6)
-        monoid.folded_mul(fd, coords, coords, letters)  # unfold and fold_coordinates
-        assert calls == []
-        assert checks.brute_force_word_count("A2") == 2
-        assert calls
+    @pytest.mark.parametrize(
+        "datum, order",
+        [(builtin("A3")[0], 24), (builtin("B:n=2")[0], 8), (standard_folding("d4").folded, 12)],
+        ids=["A3", "B:n=2", "folded-d4"],
+    )
+    def test_walk_reaches_the_group(self, datum, order):
+        distance = {WeylElement.identity(datum): 0}
+        frontier = list(distance)
+        while frontier:
+            following = []
+            for element in frontier:
+                for i in datum.labels:
+                    step = element.times_simple(i)
+                    if step not in distance:
+                        distance[step] = distance[element] + 1
+                        following.append(step)
+            frontier = following
+        assert len(distance) == order
+        for element, least in distance.items():
+            assert element.length() == least
+        assert max(distance.values()) == longest_element(datum)[1]
+
+    @pytest.mark.parametrize("name", ["A3", "B:n=2"])
+    def test_equality_and_descents_agree_with_matrices(self, name):
+        datum, _ = builtin(name)
+        pairs = set()
+        for length in range(5):
+            for letters in itertools.product(datum.labels, repeat=length):
+                element = WeylElement.from_word(datum, letters)
+                matrix = checks._word_matrix(datum, letters)
+                pairs.add((element.rho, matrix))
+                negative = [i for i, column in zip(datum.labels, zip(*matrix))
+                            if any(x < 0 for x in column)]
+                assert element.right_descents() == negative
+        assert len({rho for rho, _ in pairs}) == len(pairs)
+        assert len({matrix for _, matrix in pairs}) == len(pairs)
+
+    def test_off_orbit_vector_rejected(self):
+        datum, _ = builtin("A2")
+        for rho in ((0, 1), (2, 1), (3, -1)):
+            with pytest.raises(WordError) as error:
+                WeylElement(datum, rho).length()
+            assert error.value.kind == "not-a-weyl-element"
+
+    def test_oracle_uses_no_weyl_machinery(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not use foldline.weyl")
+
+        monkeypatch.setattr(weyl, "_apply", refuse)
+        monkeypatch.setattr(weyl, "longest_element", refuse)
+        monkeypatch.setattr(weyl.WeylElement, "__init__", refuse)
+        monkeypatch.setattr(checks, "longest_element", refuse, raising=False)
+        assert [checks.brute_force_word_count(name) for name in ("A2", "B:n=2", "A3")] == [
+            2, 2, 16,
+        ]
