@@ -5,7 +5,10 @@
 ``r_coordinate``, ``rho_folded``) were derived from their left twins by
 word reversal.  One entry, the folded transition to ``1,2,1,1``, was
 re-recorded when folded target words began to be checked in the folded
-datum before unfolding.  Symbolic representatives are compared as
+datum before unfolding.  The ``transition`` calls (with and without
+``--trace``) and the README examples of ``monoid``, ``words``, ``datum``
+and ``fold`` were added later, recorded before the three number models
+became instances of one descriptor class.  Symbolic representatives are compared as
 printed, so a change of braid path that rewrites a ``sym`` value shows up
 here even when the value is equal.
 
@@ -57,6 +60,15 @@ def _lstrings():
             yield ("monoid", "lstring", "--datum", datum, "--i", i, "--coords", coords)
 
 
+def _transitions():
+    targets = ("2,1,2", "3,2,1,3,2,3")
+    for model, coords in _MODEL_COORDS.items():
+        for (datum, word, _), values, goal in zip(_WORDS, coords, targets):
+            for trace in ((), ("--trace",)):
+                yield ("transition", "--datum", datum, "--from", word, "--to", goal,
+                       "--coords", values, "--semifield", model, *trace)
+
+
 def _folded_transitions():
     rank_two = ("2,1,2,1", "1,2,1,2")
     g2 = ("1,2,1,2,1,2", "2,1,2,1,2,1")
@@ -74,6 +86,7 @@ def _folded_transitions():
 
 CALLS = (
     *_coordinate_reads(),
+    *_transitions(),
     *_lstrings(),
     *_folded_transitions(),
     ("folded", "compare-models", "--coords", "d,c,b,a", "--semifield", "sym"),
@@ -86,6 +99,14 @@ CALLS = (
     )),
     ("verify", "chain", "--id", "b2-from-a3"),
     ("verify", "chain", "--id", "b2-from-a4"),
+    # the README examples of the commands that print values
+    ("monoid", "mul", "--datum", "A2", "--left", "0,1,2", "--right", "1,1,1"),
+    ("monoid", "frobenius", "--datum", "A2", "--e", "2", "--coords", "1,2,3"),
+    ("monoid", "crystal-graph", "--datum", "A2", "--bound", "3", "--dot"),
+    ("words", "neighbors", "--builtin", "B:n=2", "--word", "1212"),
+    ("words", "enumerate", "--builtin", "A3"),
+    ("datum", "validate", "--builtin", "B:n=2"),
+    ("fold", "--builtin", "A4+flip"),
     # typed errors
     ("rho", "--datum", "A2", "--word", "1,2,1", "--coords", "1,2,3", "--i", "9"),
     ("monoid", "lstring", "--datum", "A2", "--i", "9", "--coords", "1,2,3"),
