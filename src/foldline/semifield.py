@@ -16,6 +16,14 @@ and without a zero.  The four models are:
   decided by cross multiplication, which is exact because the coefficient
   arithmetic never leaves N.
 
+The three number models are the :class:`Semifield` instances ``RATIONALS``,
+``TROP_INT`` and ``TROP_NAT``; each names its value class and the number
+whose value is the unit.  :class:`SymbolicSemifield` is the one descriptor
+with state of its own, its variables.  Every value class names its model in
+``model`` and supplies ``_add``, ``_mul``, ``_div`` and ``_nfold``;
+:class:`SemifieldValue` holds the rest once: the operators, the model
+check, the ``k >= 1`` guard of n-fold sums and immutability.
+
 Evaluating a subtraction-free expression in ``tropz`` computes its
 tropicalization: every formula proved symbolically in ``sym`` therefore
 yields a piecewise-linear identity for free.  The symbolic model is the
@@ -31,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import SemifieldError
 
@@ -51,26 +59,22 @@ def _require_same_model(a: "SemifieldValue", b: object) -> "SemifieldValue":
 
 
 class SemifieldValue:
-    """Common operator plumbing for all four value kinds."""
+    """One immutable value; the operator plumbing of all four value kinds."""
 
     __slots__ = ()
+    model: "Semifield | SymbolicSemifield"
 
-    @property
-    def model(self) -> "Semifield":
-        raise NotImplementedError
+    def __setattr__(self, *a):
+        raise AttributeError("semifield values are immutable")
 
-    def _add(self, other):
-        raise NotImplementedError
-
-    def _mul(self, other):
-        raise NotImplementedError
-
-    def _div(self, other):
-        raise NotImplementedError
+    def __repr__(self):
+        return f"{self.model.name}({self})"
 
     def nfold(self, k: int) -> "SemifieldValue":
         """k-fold sum self + self + ... + self (k >= 1)."""
-        raise NotImplementedError
+        if k < 1:
+            raise SemifieldError("bad-nfold", "n-fold sum needs k >= 1")
+        return self._nfold(k)
 
     def __add__(self, other):
         return self._add(_require_same_model(self, other))
@@ -97,82 +101,26 @@ class SemifieldValue:
         return out
 
 
-# ---------------------------------------------------------------------------
-# Model descriptors
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Semifield:
-    """Descriptor of one semifield model; values point back at it."""
+    """Descriptor of one number model; its values point back at it.
 
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
+    ``value`` builds a value from a number of the model, and ``unit`` is the
+    number whose value is the multiplicative unit.  The three instances
+    below are the only ones, so equality is identity.
+    """
+
+    name: str
+    value: Callable[[IntLike], SemifieldValue]
+    unit: int = 0
 
     def from_int(self, n: int) -> SemifieldValue:
         """The coercion iota from integers (tagged values in the tropical models)."""
-        raise NotImplementedError
+        return self.value(n)
 
     def one(self) -> SemifieldValue:
         """The multiplicative unit (iota(0) in the tropical models)."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class RationalSemifield(Semifield):
-    name_: str = "rat"
-
-    @property
-    def name(self):
-        return self.name_
-
-    def from_int(self, n: int) -> "PosRational":
-        return self.value(n)
-
-    def value(self, q: IntLike) -> "PosRational":
-        return PosRational(Fraction(q))
-
-    def one(self) -> "PosRational":
-        return self.value(1)
-
-
-@dataclass(frozen=True)
-class TropicalIntSemifield(Semifield):
-    name_: str = "tropz"
-
-    @property
-    def name(self):
-        return self.name_
-
-    def from_int(self, n: int) -> "TropInt":
-        return TropInt(n)
-
-    value = from_int
-
-    def one(self) -> "TropInt":
-        return self.from_int(0)
-
-
-@dataclass(frozen=True)
-class TropicalNatSemifield(Semifield):
-    name_: str = "tropn"
-
-    @property
-    def name(self):
-        return self.name_
-
-    def from_int(self, n: int) -> "TropNat":
-        return TropNat(n)
-
-    value = from_int
-
-    def one(self) -> "TropNat":
-        return self.from_int(0)
-
-
-RATIONALS = RationalSemifield()
-TROP_INT = TropicalIntSemifield()
-TROP_NAT = TropicalNatSemifield()
+        return self.value(self.unit)
 
 
 class PosRational(SemifieldValue):
@@ -180,17 +128,11 @@ class PosRational(SemifieldValue):
 
     __slots__ = ("q",)
 
-    def __init__(self, q: Fraction):
+    def __init__(self, q: IntLike):
+        q = Fraction(q)
         if q <= 0:
             raise SemifieldError("not-positive", f"rational value must be > 0, got {q}")
-        object.__setattr__(self, "q", Fraction(q))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("PosRational is immutable")
-
-    @property
-    def model(self):
-        return RATIONALS
+        object.__setattr__(self, "q", q)
 
     def _add(self, other):
         return PosRational(self.q + other.q)
@@ -201,9 +143,7 @@ class PosRational(SemifieldValue):
     def _div(self, other):
         return PosRational(self.q / other.q)
 
-    def nfold(self, k):
-        if k < 1:
-            raise SemifieldError("bad-nfold", "n-fold sum needs k >= 1")
+    def _nfold(self, k):
         return PosRational(self.q * k)
 
     def __eq__(self, other):
@@ -214,9 +154,6 @@ class PosRational(SemifieldValue):
     def __hash__(self):
         return hash(("rat", self.q))
 
-    def __repr__(self):
-        return f"PosRational({self.q})"
-
     def __str__(self):
         return str(self.q)
 
@@ -225,35 +162,22 @@ class TropInt(SemifieldValue):
     """An integer under the tropical (min, +, -) operations."""
 
     __slots__ = ("n",)
-    _model = TROP_INT
 
     def __init__(self, n: int):
         if not isinstance(n, int):
             raise SemifieldError("not-integer", f"tropical value must be an int, got {n!r}")
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, *a):
-        raise AttributeError("tropical values are immutable")
-
-    @property
-    def model(self):
-        return self._model
-
-    def _make(self, n):
-        return type(self)(n)
-
     def _add(self, other):
-        return self._make(min(self.n, other.n))
+        return type(self)(min(self.n, other.n))
 
     def _mul(self, other):
-        return self._make(self.n + other.n)
+        return type(self)(self.n + other.n)
 
     def _div(self, other):
-        return self._make(self.n - other.n)
+        return type(self)(self.n - other.n)
 
-    def nfold(self, k):
-        if k < 1:
-            raise SemifieldError("bad-nfold", "n-fold sum needs k >= 1")
+    def _nfold(self, k):
         return self  # min(n, n, ...) = n
 
     def __eq__(self, other):
@@ -264,9 +188,6 @@ class TropInt(SemifieldValue):
     def __hash__(self):
         return hash((self.model.name, self.n))
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.n})"
-
     def __str__(self):
         return str(self.n)
 
@@ -275,14 +196,11 @@ class TropNat(TropInt):
     """A nonnegative integer under (min, +, -); division is partial."""
 
     __slots__ = ()
-    _model = TROP_NAT
 
     def __init__(self, n: int):
-        if not isinstance(n, int):
-            raise SemifieldError("not-integer", f"tropical value must be an int, got {n!r}")
+        super().__init__(n)
         if n < 0:
             raise SemifieldError("tropnat-range", f"tropical natural must be >= 0, got {n}")
-        super().__init__(n)
 
     def _div(self, other):
         if self.n < other.n:
@@ -291,6 +209,11 @@ class TropNat(TropInt):
                 f"tropical division {self.n} - {other.n} leaves the naturals",
             )
         return TropNat(self.n - other.n)
+
+
+RATIONALS = PosRational.model = Semifield("rat", PosRational, unit=1)
+TROP_INT = TropInt.model = Semifield("tropz", TropInt)
+TROP_NAT = TropNat.model = Semifield("tropn", TropNat)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +338,9 @@ class Poly:
                     rem.pop(key, None)
         return Poly(self.nvars, quo)
 
-    def evaluate(self, model: Semifield, values: list[SemifieldValue]) -> SemifieldValue:
+    def evaluate(
+        self, model: Semifield | SymbolicSemifield, values: list[SemifieldValue]
+    ) -> SemifieldValue:
         """Evaluate with the given per-variable semifield values.
 
         Integer coefficients become n-fold sums, so evaluation in a
@@ -477,18 +402,19 @@ def _expand(nvars: int, scalar: int, factors: Iterable[Poly]) -> Poly:
 
 
 @dataclass(frozen=True)
-class SymbolicSemifield(Semifield):
-    """Subtraction-free rational functions over a declared variable set."""
+class SymbolicSemifield:
+    """Subtraction-free rational functions over a declared variable set.
+
+    The one descriptor with state of its own; like :class:`Semifield` it
+    has ``name``, ``from_int`` and ``one``.
+    """
 
     variables: tuple[str, ...] = ()
+    name = "sym"
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise SemifieldError("bad-variables", "duplicate variable names")
-
-    @property
-    def name(self):
-        return "sym"
 
     def from_int(self, n: int) -> "SymRat":
         if n < 1:
@@ -522,7 +448,7 @@ class SymRat(SemifieldValue):
     cross multiplication.
     """
 
-    __slots__ = ("_model", "cnum", "fnum", "cden", "fden")
+    __slots__ = ("model", "cnum", "fnum", "cden", "fden")
 
     def __init__(self, *a, **kw):
         raise TypeError("build SymRat values via a SymbolicSemifield model")
@@ -563,15 +489,12 @@ class SymRat(SemifieldValue):
         _, num_factors, den_factors = _split_common(num_factors, den_factors)
         num_factors, den_factors = cls._division_cancel(num_factors, den_factors)
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_model", model)
+        object.__setattr__(obj, "model", model)
         object.__setattr__(obj, "cnum", cnum)
         object.__setattr__(obj, "fnum", tuple(sorted(num_factors, key=Poly.sort_key)))
         object.__setattr__(obj, "cden", cden)
         object.__setattr__(obj, "fden", tuple(sorted(den_factors, key=Poly.sort_key)))
         return obj
-
-    def __setattr__(self, *a):
-        raise AttributeError("SymRat is immutable")
 
     @staticmethod
     def _division_cancel(
@@ -602,12 +525,8 @@ class SymRat(SemifieldValue):
         return num, den
 
     @property
-    def model(self) -> SymbolicSemifield:
-        return self._model
-
-    @property
     def nvars(self) -> int:
-        return len(self._model.variables)
+        return len(self.model.variables)
 
     @property
     def num(self) -> Poly:
@@ -632,7 +551,7 @@ class SymRat(SemifieldValue):
         kc = math.gcd(ka, kb)
         summed = _expand(self.nvars, ka // kc, s1) + _expand(self.nvars, kb // kc, s2)
         return SymRat._build(
-            self._model,
+            self.model,
             kc,
             common_num + [summed],
             gden * (self.cden // gden) * (other.cden // gden),
@@ -641,7 +560,7 @@ class SymRat(SemifieldValue):
 
     def _mul(self, other: "SymRat") -> "SymRat":
         return SymRat._build(
-            self._model,
+            self.model,
             self.cnum * other.cnum,
             self.fnum + other.fnum,
             self.cden * other.cden,
@@ -650,22 +569,20 @@ class SymRat(SemifieldValue):
 
     def _div(self, other: "SymRat") -> "SymRat":
         return SymRat._build(
-            self._model,
+            self.model,
             self.cnum * other.cden,
             self.fnum + other.fden,
             self.cden * other.cnum,
             self.fden + other.fnum,
         )
 
-    def nfold(self, k):
-        if k < 1:
-            raise SemifieldError("bad-nfold", "n-fold sum needs k >= 1")
-        return SymRat._build(self._model, self.cnum * k, self.fnum, self.cden, self.fden)
+    def _nfold(self, k):
+        return SymRat._build(self.model, self.cnum * k, self.fnum, self.cden, self.fden)
 
     def __eq__(self, other):
         if not isinstance(other, SymRat):
             return NotImplemented
-        if self._model != other._model:
+        if self.model != other.model:
             return False
         _, left, right = _split_common(
             list(self.fnum) + list(other.fden), list(other.fnum) + list(self.fden)
@@ -679,7 +596,7 @@ class SymRat(SemifieldValue):
 
     def evaluate(self, assignment: Mapping[str, SemifieldValue]) -> SemifieldValue:
         """Evaluate in another model by substituting values for variables."""
-        values = [assignment[name] for name in self._model.variables]
+        values = [assignment[name] for name in self.model.variables]
         if not values:
             raise SemifieldError("bad-variables", "evaluation needs at least one variable")
         model = values[0].model
@@ -695,16 +612,13 @@ class SymRat(SemifieldValue):
 
     def __str__(self):
         def wrap(p: Poly) -> str:
-            text = p.render(self._model.variables)
+            text = p.render(self.model.variables)
             return f"({text})" if len(p.terms) > 1 else text
 
         num = wrap(self.num)
         if self.cden == 1 and not self.fden:
             return num
         return f"{num} / {wrap(self.den)}"
-
-    def __repr__(self):
-        return f"SymRat({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +645,7 @@ MODELS: dict[str, Semifield] = {
 }
 
 
-def model_by_name(name: str, variables: tuple[str, ...] = ()) -> Semifield:
+def model_by_name(name: str, variables: tuple[str, ...] = ()) -> Semifield | SymbolicSemifield:
     """Resolve a CLI model name; ``sym`` needs its variable set."""
     if name == "sym":
         return SymbolicSemifield(tuple(variables))

@@ -12,7 +12,12 @@ from foldline.semifield import (
     TROP_INT,
     TROP_NAT,
     Poly,
+    PosRational,
+    SemifieldValue,
     SymbolicSemifield,
+    SymRat,
+    TropInt,
+    TropNat,
     sym_equal,
 )
 
@@ -89,6 +94,80 @@ class TestExamples:
         x, y, _ = sym_vars()
         assert str(2 * (x * y * y)) == "2*x*y^2"
         assert str((x + y) / x) == "(x + y) / x"
+
+
+def _one_value_per_model():
+    return (
+        RATIONALS.value(Fraction(3, 2)),
+        TROP_INT.from_int(-3),
+        TROP_NAT.from_int(3),
+        SYM.var("x") + SYM.var("y"),
+    )
+
+
+class TestValueProtocol:
+    """What SemifieldValue supplies once for every value class."""
+
+    VALUE_CLASSES = (PosRational, TropInt, TropNat, SymRat)
+
+    @pytest.mark.parametrize("k", (0, -1))
+    def test_nfold_needs_a_positive_count(self, k):
+        for value in _one_value_per_model():
+            for fold in (lambda: value.nfold(k), lambda: k * value, lambda: value * k):
+                with pytest.raises(SemifieldError) as error:
+                    fold()
+                assert error.value.kind == "bad-nfold"
+
+    def test_nfold_counts(self):
+        rat, tropz, tropn, sym = _one_value_per_model()
+        assert 3 * rat == rat + rat + rat
+        assert tropz.nfold(5) is tropz and tropn.nfold(5) is tropn
+        assert 3 * sym == sym + sym + sym
+
+    def test_values_are_immutable(self):
+        for value in _one_value_per_model():
+            with pytest.raises(AttributeError):
+                value.q = 1
+            with pytest.raises(AttributeError):
+                value.model = RATIONALS
+
+    def test_protocol_is_written_once(self):
+        """The tracer wraps SemifieldValue's operators, so no subclass may
+        replace them; immutability and the nfold guard live there too."""
+        shared = ("__setattr__", "nfold", "__add__", "__mul__", "__rmul__", "__truediv__", "__pow__")
+        for cls in self.VALUE_CLASSES:
+            assert not set(shared) & set(vars(cls)), cls.__name__
+            assert issubclass(cls, SemifieldValue)
+
+    def test_each_value_class_names_its_model(self):
+        rat, tropz, tropn, sym = _one_value_per_model()
+        assert (rat.model, tropz.model, tropn.model, sym.model) == (RATIONALS, TROP_INT, TROP_NAT, SYM)
+        assert [m.name for m in (RATIONALS, TROP_INT, TROP_NAT, SYM)] == ["rat", "tropz", "tropn", "sym"]
+        assert TROP_INT != TROP_NAT
+        assert TropInt(2) != TropNat(2)
+        assert hash(TropInt(2)) != hash(TropNat(2))
+
+    def test_units_and_coercion(self):
+        assert RATIONALS.one() == RATIONALS.from_int(1) == PosRational(1)
+        assert TROP_INT.one() == TropInt(0) and TROP_NAT.one() == TropNat(0)
+        assert SYM.one() == SYM.from_int(1)
+        assert RATIONALS.from_int(4).q == 4 and TROP_NAT.from_int(4).n == 4
+
+    @pytest.mark.parametrize(
+        "build, kind",
+        (
+            (lambda: TropNat(-1), "tropnat-range"),
+            (lambda: TROP_NAT.from_int(-1), "tropnat-range"),
+            (lambda: TropNat(1.5), "not-integer"),
+            (lambda: TropNat("2"), "not-integer"),
+            (lambda: TropInt(1.5), "not-integer"),
+            (lambda: PosRational(-2), "not-positive"),
+        ),
+    )
+    def test_typed_construction_errors(self, build, kind):
+        with pytest.raises(SemifieldError) as error:
+            build()
+        assert error.value.kind == kind
 
 
 ints = st.integers(min_value=-50, max_value=50)
