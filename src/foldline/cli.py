@@ -14,13 +14,13 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import chamber, checks, folding, monoid
 from .cartan import builtin, fold, load_datum_file
-from .errors import FoldlineError, UsageError
+from .errors import FoldlineError, SemifieldError, UsageError
 from .exprs import parse_value
-from .semifield import RATIONALS, SemifieldValue, SymbolicSemifield, TropInt, model_by_name
+from .semifield import SemifieldValue, TropInt, model_by_name
 from .weyl import base_word, braid_neighbors, enumerate_reduced_words, word_for_w0
 
 
@@ -44,21 +44,27 @@ def _split_word(text: str) -> tuple[str, ...]:
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _numbers(text: str, number: Callable = int) -> tuple:
+    """Comma-separated numbers; a malformed one is a ``parse`` error."""
+    out = []
+    for part in _split_csv(text):
+        try:
+            out.append(number(part))
+        except (ValueError, ZeroDivisionError):
+            raise SemifieldError("parse", f"cannot read {part!r} as {number.__name__}") from None
+    return tuple(out)
+
+
 def _parse_coords(text: str, semifield: str) -> tuple[SemifieldValue, ...]:
     parts = _split_csv(text)
     if not parts:
         raise UsageError("no coordinates given")
-    if semifield == "rat":
-        return tuple(RATIONALS.value(Fraction(part)) for part in parts)
-    if semifield in ("tropz", "tropn"):
-        model = model_by_name(semifield)
-        return tuple(model.from_int(int(part)) for part in parts)
+    names = sorted({name for part in parts for name in _IDENT.findall(part)})
+    model = model_by_name(semifield, tuple(names))
     if semifield == "sym":
-        names = sorted({name for part in parts for name in _IDENT.findall(part)})
-        model = SymbolicSemifield(tuple(names))
         env = model.vars()
         return tuple(parse_value(part, model, env) for part in parts)
-    raise UsageError(f"unknown semifield {semifield!r}")
+    return tuple(map(model.value, _numbers(text, Fraction if semifield == "rat" else int)))
 
 
 def _value_json(value: SemifieldValue):
@@ -244,22 +250,22 @@ def _cmd_verify(args) -> int:
 def _cmd_monoid_mul(args) -> int:
     datum, _ = _datum_of(args)
     letters = base_word(datum).letters
-    left = monoid.MonoidElement(datum, tuple(int(v) for v in _split_csv(args.left)))
-    right = monoid.MonoidElement(datum, tuple(int(v) for v in _split_csv(args.right)))
+    left = monoid.MonoidElement(datum, _numbers(args.left))
+    right = monoid.MonoidElement(datum, _numbers(args.right))
     product = monoid.mul(left, right)
     return _emit({"word": list(letters), "coords": list(product.coords)})
 
 
 def _cmd_monoid_frobenius(args) -> int:
     datum, _ = _datum_of(args)
-    element = monoid.MonoidElement(datum, tuple(int(v) for v in _split_csv(args.coords)))
+    element = monoid.MonoidElement(datum, _numbers(args.coords))
     scaled = monoid.frobenius(args.e, element)
     return _emit({"word": list(scaled.word.letters), "coords": list(scaled.coords)})
 
 
 def _cmd_monoid_lstring(args) -> int:
     datum, _ = _datum_of(args)
-    element = monoid.MonoidElement(datum, tuple(int(v) for v in _split_csv(args.coords)))
+    element = monoid.MonoidElement(datum, _numbers(args.coords))
     return _emit(
         {
             "i": args.i,

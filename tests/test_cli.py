@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from foldline.cli import main
 
 
@@ -339,3 +341,25 @@ class TestMonoid:
         assert code == 0
         assert doc["payload"]["l_scan"] == doc["payload"]["l_coordinate"] == 0
         assert doc["payload"]["r_scan"] == doc["payload"]["r_coordinate"] == 100000000
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("transition", "--datum", "A2", "--from", "121", "--to", "212",
+             "--coords", "a,b,c", "--semifield", "rat"),
+            ("transition", "--datum", "A2", "--from", "121", "--to", "212",
+             "--coords", "1.5,2,3", "--semifield", "tropz"),
+            ("lambda", "--datum", "A2", "--word", "121", "--coords", "1/0,1,2",
+             "--i", "1", "--semifield", "rat"),
+            ("monoid", "mul", "--datum", "A2", "--left", "1,x,2", "--right", "1,1,1"),
+            ("monoid", "frobenius", "--datum", "A2", "--e", "2", "--coords", "1,2,z"),
+            ("monoid", "lstring", "--datum", "A2", "--i", "1", "--coords", "1,2.0,3"),
+        ),
+    )
+    def test_parse_error_on_stdout_only(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert (code, doc["status"], doc["kind"], captured.err) == (1, "error", "parse", "")

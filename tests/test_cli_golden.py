@@ -8,7 +8,8 @@ re-recorded when folded target words began to be checked in the folded
 datum before unfolding.  The ``transition`` calls (with and without
 ``--trace``) and the README examples of ``monoid``, ``words``, ``datum``
 and ``fold`` were added later, recorded before the three number models
-became instances of one descriptor class.  Symbolic representatives are compared as
+became instances of one descriptor class.  The malformed-number calls
+were added when they became typed ``parse`` errors.  Symbolic representatives are compared as
 printed, so a change of braid path that rewrites a ``sym`` value shows up
 here even when the value is equal.
 
@@ -84,6 +85,17 @@ def _folded_transitions():
                        "--to", goal, "--coords", values, "--semifield", semifield)
 
 
+# malformed numeric coordinates: each is a typed parse error
+MALFORMED_NUMBERS = (
+    ("transition", "--datum", "A2", "--from", "121", "--to", "212", "--coords", "a,b,c",
+     "--semifield", "rat"),
+    ("transition", "--datum", "A2", "--from", "121", "--to", "212", "--coords", "1.5,2,3",
+     "--semifield", "tropz"),
+    ("lambda", "--datum", "A2", "--word", "121", "--coords", "1/0,1,2", "--i", "1",
+     "--semifield", "rat"),
+    ("monoid", "mul", "--datum", "A2", "--left", "1,x,2", "--right", "1,1,1"),
+)
+
 CALLS = (
     *_coordinate_reads(),
     *_transitions(),
@@ -112,6 +124,7 @@ CALLS = (
     ("monoid", "lstring", "--datum", "A2", "--i", "9", "--coords", "1,2,3"),
     ("folded", "transition", "--model", "a3", "--from", "2,1,2,1", "--to", "1,2,1,1",
      "--coords", "1,1,1,1"),
+    *MALFORMED_NUMBERS,
 )
 
 
