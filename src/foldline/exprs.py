@@ -20,6 +20,10 @@ from typing import Mapping
 from .errors import SemifieldError
 from .semifield import Semifield, SemifieldValue
 
+# Largest exponent accepted: a power x^k costs k - 1 multiplications, and
+# every later operation on it pays for its k factors.
+EXPONENT_LIMIT = 100
+
 _TOKEN = re.compile(r"\s*(\*\*|[()+*/^]|\d+|[A-Za-z_][A-Za-z0-9_]*)")
 
 
@@ -76,6 +80,8 @@ class _Parser:
             exponent = self.take()
             if not exponent.isdigit() or int(exponent) < 1:
                 raise SemifieldError("parse", f"exponent must be a positive integer, got {exponent!r}")
+            if int(exponent) > EXPONENT_LIMIT:
+                raise SemifieldError("limit", f"exponent {exponent} is above {EXPONENT_LIMIT}")
             value = value ** int(exponent)
         return value
 

@@ -247,6 +247,10 @@ def crystal_raise(m: MonoidElement, i: str) -> MonoidElement:
     return raise_to(l_coordinate(m, i) + 1, lower_to_zero(m, i), i)
 
 
+# Most nodes crystal_graph_dot draws: A3 with bound 3 has exactly this many.
+CRYSTAL_NODE_LIMIT = 4096
+
+
 def crystal_graph_dot(datum: CartanDatum, bound: int) -> str:
     """DOT graph of raising steps from the bottom element, coordinates <= bound."""
     bottom = MonoidElement(datum, (0,) * len(base_word(datum).letters))
@@ -263,6 +267,12 @@ def crystal_graph_dot(datum: CartanDatum, bound: int) -> str:
             if raised.coords not in seen:
                 seen.add(raised.coords)
                 queue.append(raised)
+                if len(seen) > CRYSTAL_NODE_LIMIT:
+                    raise MonoidError(
+                        "limit",
+                        f"the crystal graph has more than {CRYSTAL_NODE_LIMIT} nodes "
+                        f"with coordinates <= {bound}",
+                    )
     names = {coords: f"n{index}" for index, coords in enumerate(sorted(seen))}
     lines = ["digraph crystal {"]
     for coords, name in names.items():

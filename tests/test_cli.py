@@ -363,3 +363,45 @@ class TestMalformedNumbers:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert (code, doc["status"], doc["kind"], captured.err) == (1, "error", "parse", "")
+
+
+class TestLimits:
+    """Inputs past a fixed size answer with kind limit in under a second."""
+
+    def run_limited(self, capsys, *argv):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        return code, doc
+
+    @pytest.mark.parametrize("bound", ("4", "5", "8", "40"))
+    def test_crystal_graph_past_the_node_limit(self, capsys, bound):
+        # A3 has (bound + 1)^6 nodes: 15,625 at bound 4
+        code, doc = self.run_limited(
+            capsys, "monoid", "crystal-graph", "--datum", "A3", "--bound", bound
+        )
+        assert (code, doc["kind"]) == (1, "limit")
+
+    def test_crystal_graph_at_the_node_limit(self, capsys):
+        code, doc = self.run_limited(
+            capsys, "monoid", "crystal-graph", "--datum", "A3", "--bound", "3"
+        )
+        dot = doc["payload"]["dot"]
+        assert code == 0
+        assert dot.count("[label=") - dot.count("->") == 4**6
+
+    @pytest.mark.parametrize("power", ("x^101", "x^3000", "x^3000000", "(x+y)^101*z"))
+    def test_exponent_past_the_limit(self, capsys, power):
+        code, doc = self.run_limited(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", f"{power},y,z", "--semifield", "sym",
+        )
+        assert (code, doc["kind"]) == (1, "limit")
+
+    def test_exponent_at_the_limit(self, capsys):
+        code, doc = self.run_limited(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", "x^100,y,z", "--semifield", "sym",
+        )
+        assert code == 0
+        assert doc["payload"][0]["c"] == "y*z / (x^100 + z)"

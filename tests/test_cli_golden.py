@@ -9,7 +9,8 @@ datum before unfolding.  The ``transition`` calls (with and without
 ``--trace``) and the README examples of ``monoid``, ``words``, ``datum``
 and ``fold`` were added later, recorded before the three number models
 became instances of one descriptor class.  The malformed-number calls
-were added when they became typed ``parse`` errors.  Symbolic representatives are compared as
+and the two inputs past a size limit were added when they became typed
+``parse`` and ``limit`` errors.  Symbolic representatives are compared as
 printed, so a change of braid path that rewrites a ``sym`` value shows up
 here even when the value is equal.
 
@@ -125,6 +126,9 @@ CALLS = (
     ("folded", "transition", "--model", "a3", "--from", "2,1,2,1", "--to", "1,2,1,1",
      "--coords", "1,1,1,1"),
     *MALFORMED_NUMBERS,
+    ("monoid", "crystal-graph", "--datum", "A3", "--bound", "5"),
+    ("transition", "--datum", "A2", "--from", "121", "--to", "212", "--coords", "x^3000,y,z",
+     "--semifield", "sym"),
 )
 
 

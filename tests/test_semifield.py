@@ -90,6 +90,13 @@ class TestExamples:
         with pytest.raises(SemifieldError):
             SYM.from_int(0)
 
+    def test_exponent_limit(self):
+        x = parse_value("x^100", SYM, SYM.vars())
+        assert str(x) == "x^100"
+        with pytest.raises(SemifieldError) as error:
+            parse_value("x^101", SYM, SYM.vars())
+        assert error.value.kind == "limit"
+
     def test_rendering(self):
         x, y, _ = sym_vars()
         assert str(2 * (x * y * y)) == "2*x*y^2"
