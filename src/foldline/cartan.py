@@ -271,12 +271,6 @@ class FoldedDatum:
     def orbit_of(self, folded_label: str) -> tuple[str, ...]:
         return self.orbits[self.folded.index(folded_label)]
 
-    def folded_label(self, source_label: str) -> str:
-        for orbit, label in zip(self.orbits, self.folded.labels):
-            if source_label in orbit:
-                return label
-        raise DatumError("unknown-label", f"unknown source label {source_label!r}")
-
 
 def fold(datum: CartanDatum, sigma: DiagramAutomorphism) -> FoldedDatum:
     """Fold a simply laced datum along a pairing-preserving permutation."""

@@ -426,8 +426,10 @@ def check_filling_independence() -> CheckResult:
 
 
 ALL_CHECKS = (
-    ("chain-b2-from-a3", lambda seed, trials: check_chain("b2-from-a3")),
-    ("chain-b2-from-a4", lambda seed, trials: check_chain("b2-from-a4")),
+    *(
+        (f"chain-{chain_id}", lambda seed, trials, chain_id=chain_id: check_chain(chain_id))
+        for chain_id in folding.CHAIN_IDS
+    ),
     ("closed-form-models", lambda seed, trials: check_closed_form_models()),
     ("tropical-b2", lambda seed, trials: check_tropical_b2(seed, trials or 1000)),
     ("path-independence", lambda seed, trials: check_path_independence()),

@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification procedures")
     p.add_argument("what", choices=("chain", *_VERIFY_RUNNERS, "all"))
-    p.add_argument("--id", help="chain id (b2-from-a3 or b2-from-a4)")
+    p.add_argument("--id", help=f"chain id ({' or '.join(folding.CHAIN_IDS)})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--level", default="desk", choices=("desk",))

@@ -328,11 +328,9 @@ CHAIN_IDS = ("b2-from-a3", "b2-from-a4")
 
 
 def load_chain_data(chain_id: str) -> dict:
-    name = {"b2-from-a3": "chain_b2_from_a3.json", "b2-from-a4": "chain_b2_from_a4.json"}.get(
-        chain_id
-    )
-    if name is None:
+    if chain_id not in CHAIN_IDS:
         raise FoldingError("unknown-chain", f"unknown chain id {chain_id!r}")
+    name = f"chain_{chain_id.replace('-', '_')}.json"
     text = resources.files("foldline.data").joinpath(name).read_text(encoding="utf-8")
     return json.loads(text)
 

@@ -256,9 +256,6 @@ class WordGraph:
     vertices: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[int, int, int, int], ...]  # (index a, index b, k, r)
 
-    def word(self, index: int) -> Word:
-        return Word(self.datum, self.vertices[index])
-
     def to_dot(self) -> str:
         lines = ["graph words {"]
         for index, letters in enumerate(self.vertices):

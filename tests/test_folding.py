@@ -1,18 +1,17 @@
 """Unfolding, folded transitions, closed forms, embedded certificates."""
 
-import ast
 import copy
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import foldline
 from foldline.cartan import builtin, fold, identity_automorphism
 from foldline.chamber import ChamberPoint, canonical, decorated, is_sigma_fixed
 from foldline.errors import FoldingError, WordError
+from foldline.checks import ALL_CHECKS
 from foldline.folding import (
+    CHAIN_IDS,
     all_fillings,
     b2_closed_form,
     b2_tropical,
@@ -258,20 +257,13 @@ class TestClosedForms:
             assert all(v.n >= 0 for v in out)
 
     def test_tropical_guard_is_typed(self):
-        """The closed form still matches on seeded inputs, with no assert left."""
+        """The closed form still matches on seeded inputs; tests/test_source.py
+        checks that no assert is left in the source."""
         rng = random.Random(17)
         for make, low in ((T, -30), (N, 0)):
             for _ in range(200):
                 coords = tuple(make(rng.randint(low, 30)) for _ in range(4))
                 assert b2_tropical(coords) == tuple(b2_closed_form(coords))
-        source = Path(foldline.__file__).parent
-        asserts = [
-            (path.name, node.lineno)
-            for path in sorted(source.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Assert)
-        ]
-        assert asserts == []  # `python -O` would strip them
 
 
 class TestChainCertificates:
@@ -330,6 +322,13 @@ class TestChainCertificates:
         with pytest.raises(FoldingError) as error:
             verify_chain("b2-from-e8")
         assert error.value.kind == "unknown-chain"
+
+    def test_chain_ids_are_spelled_once(self):
+        """The file map, the check registry and the CLI help read CHAIN_IDS."""
+        assert [load_chain_data(chain_id)["id"] for chain_id in CHAIN_IDS] == list(CHAIN_IDS)
+        chain_checks = [name for name, _ in ALL_CHECKS if name.startswith("chain-")]
+        assert chain_checks == [f"chain-{chain_id}" for chain_id in CHAIN_IDS]
+        assert [run(0, None).name for name, run in ALL_CHECKS if name in chain_checks] == chain_checks
 
     def test_report_json_shape(self):
         report = verify_chain("b2-from-a3").to_json()
