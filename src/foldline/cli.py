@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import chamber, checks, folding, monoid
 from .cartan import builtin, fold, load_datum_file
@@ -44,7 +44,7 @@ def _split_word(text: str) -> tuple[str, ...]:
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _numbers(text: str, number: Callable = int) -> tuple:
+def _numbers(text: str, number: type = int) -> tuple:
     """Comma-separated numbers; a malformed one is a ``parse`` error."""
     out = []
     for part in _split_csv(text):
