@@ -20,8 +20,8 @@ from typing import Mapping
 from .errors import SemifieldError
 from .semifield import Semifield, SemifieldValue
 
-# Largest exponent accepted: a power x^k costs k - 1 multiplications, and
-# every later operation on it pays for its k factors.
+# Largest exponent accepted, also as the product of nested exponents such
+# as (x^10)^10: every later operation on x^k pays for its k factors.
 EXPONENT_LIMIT = 100
 
 _TOKEN = re.compile(r"\s*(\*\*|[()+*/^]|\d+|[A-Za-z_][A-Za-z0-9_]*)")
@@ -47,6 +47,8 @@ class _Parser:
         self.pos = 0
         self.model = model
         self.env = env
+        # largest product of nested exponents in the factor being parsed
+        self.power = 1
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -74,6 +76,7 @@ class _Parser:
         return value
 
     def factor(self) -> SemifieldValue:
+        outer, self.power = self.power, 1
         value = self.atom()
         if self.peek() in ("^", "**"):
             self.take()
@@ -82,7 +85,13 @@ class _Parser:
                 raise SemifieldError("parse", f"exponent must be a positive integer, got {exponent!r}")
             if int(exponent) > EXPONENT_LIMIT:
                 raise SemifieldError("limit", f"exponent {exponent} is above {EXPONENT_LIMIT}")
+            self.power *= int(exponent)
+            if self.power > EXPONENT_LIMIT:
+                raise SemifieldError(
+                    "limit", f"nested exponents multiply to {self.power}, above {EXPONENT_LIMIT}"
+                )
             value = value ** int(exponent)
+        self.power = max(outer, self.power)
         return value
 
     def atom(self) -> SemifieldValue:

@@ -22,7 +22,8 @@ whose value is the unit.  :class:`SymbolicSemifield` is the one descriptor
 with state of its own, its variables.  Every value class names its model in
 ``model`` and supplies ``_add``, ``_mul``, ``_div`` and ``_nfold``;
 :class:`SemifieldValue` holds the rest once: the operators, the model
-check, the ``k >= 1`` guard of n-fold sums and immutability.
+check, the ``k >= 1`` guard of n-fold sums, powers by repeated products
+(which ``SymRat`` replaces by repeating its factors) and immutability.
 
 Evaluating a subtraction-free expression in ``tropz`` computes its
 tropicalization: every formula proved symbolically in ``sym`` therefore
@@ -95,6 +96,9 @@ class SemifieldValue:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 1:
             raise SemifieldError("bad-power", "powers must be integers >= 1")
+        return self._pow(k)
+
+    def _pow(self, k):
         out = self
         for _ in range(k - 1):
             out = out._mul(self)
@@ -227,15 +231,22 @@ class Poly:
     allows arbitrary integer coefficients (exact division needs signed
     intermediates); the symbolic semifield only ever stores polynomials
     whose coefficients are positive.
+
+    Invariants that the symbolic kernel asks for again and again are
+    computed once per instance, on first use, into slot fields: the hash,
+    the sort key, and the degree, per-variable exponent bounds and values
+    used by :meth:`_may_divide`.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_key", "_bounds")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, int]):
         clean = {e: c for e, c in terms.items() if c}
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_bounds", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -257,7 +268,45 @@ class Poly:
         return self.terms == {(0,) * self.nvars: 1}
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return self._invariants()[0]
+
+    def _invariants(self) -> tuple:
+        """(degree, per-variable min and max exponents, values at the
+        points (1, 1, 1, ...) and (2, 3, 4, ...)), computed once."""
+        bounds = self._bounds
+        if bounds is None:
+            terms = self.terms
+            columns = tuple(zip(*terms))
+            at_two = 0
+            for e, c in terms.items():
+                for x, k in enumerate(e, 2):
+                    if k:
+                        c *= x**k
+                at_two += c
+            bounds = (
+                max(map(sum, terms), default=0),
+                tuple(map(min, columns)),
+                tuple(map(max, columns)),
+                sum(terms.values()),
+                at_two,
+            )
+            object.__setattr__(self, "_bounds", bounds)
+        return bounds
+
+    def _may_divide(self, other: "Poly") -> bool:
+        """False only if self = other * q has no solution q in Z[x].
+
+        For natural coefficients, as in every factor of a symbolic value.
+        Per-variable min and max exponents add under products, so q's would
+        be self's minus other's, which must be ordered and nonnegative; and
+        other's (positive) value at each fixed point must divide self's.
+        """
+        _, lo, hi, at_one, at_two = self._invariants()
+        _, lo_d, hi_d, one_d, two_d = other._invariants()
+        for a, b, c, d in zip(lo, lo_d, hi, hi_d):
+            if a < b or c - d < a - b:
+                return False
+        return at_one % one_d == 0 and at_two % two_d == 0
 
     def has_nonnegative_coefficients(self) -> bool:
         return all(c > 0 for c in self.terms.values())
@@ -301,7 +350,11 @@ class Poly:
         return h
 
     def sort_key(self):
-        return (self.degree(), len(self.terms), sorted(self.terms.items()))
+        key = self._key
+        if key is None:
+            key = (self.degree(), len(self.terms), sorted(self.terms.items()))
+            object.__setattr__(self, "_key", key)
+        return key
 
     def leading(self) -> tuple[tuple, int]:
         """Lexicographically largest exponent and its coefficient."""
@@ -438,14 +491,20 @@ class SymRat(SemifieldValue):
     """A subtraction-free rational function num/den.
 
     Internally the numerator and denominator are kept as an integer scalar
-    times a multiset of polynomial factors.  Products and quotients then
-    cancel shared factors syntactically, and sums cancel any factor of the
-    expanded numerator that exactly divides a denominator factor (keeping
-    nonnegative coefficients throughout).  Without this, representation
-    degree doubles with every elementary move along a long transition path.
-    The observable value is still a plain pair of canonical sparse
-    polynomials, exposed by :attr:`num` and :attr:`den`; equality is by
-    cross multiplication.
+    times a multiset of polynomial factors, each primitive, natural and not
+    1.  Products and quotients then cancel shared factors syntactically, and
+    sums cancel any factor of the expanded numerator that exactly divides a
+    denominator factor (keeping nonnegative coefficients throughout).
+    Without this, representation degree doubles with every elementary move
+    along a long transition path.  Most factor pairs do not divide, so a
+    division is tried only when two necessary conditions hold: the divisor's
+    per-variable min and max exponents fit inside the dividend's, and its
+    values at fixed positive integer points divide the dividend's.  Both
+    hold for every product in Z[x], so the filter skips only divisions that
+    would fail and the representative is the same as without it.  The
+    observable value is still a plain pair of canonical sparse polynomials,
+    exposed by :attr:`num` and :attr:`den`; equality is by cross
+    multiplication.
     """
 
     __slots__ = ("model", "cnum", "fnum", "cden", "fden")
@@ -462,38 +521,30 @@ class SymRat(SemifieldValue):
         cden: int,
         fden: Iterable[Poly],
     ) -> "SymRat":
-        nvars = len(model.variables)
-        num_factors: list[Poly] = []
-        den_factors: list[Poly] = []
-        for store, factors, side in ((num_factors, fnum, "num"), (den_factors, fden, "den")):
-            for f in factors:
-                if f.is_zero():
-                    raise SemifieldError("zero-value", f"zero polynomial in {side}")
-                c, p = f.primitive()
-                if c < 0 or not p.has_nonnegative_coefficients():
-                    raise SemifieldError(
-                        "negative-coefficients",
-                        "symbolic values must stay subtraction-free",
-                    )
-                if side == "num":
-                    cnum *= c
-                else:
-                    cden *= c
-                if not p.is_one():
-                    store.append(p)
+        """Normalise and store a value.  The factors must be primitive,
+        natural and not 1, as those of existing values are; the one new
+        polynomial, the sum in :meth:`_add`, is checked there."""
         if cnum <= 0 or cden <= 0:
             raise SemifieldError("zero-value", "symbolic value must be nonzero and positive")
         g = math.gcd(cnum, cden)
-        cnum //= g
-        cden //= g
-        _, num_factors, den_factors = _split_common(num_factors, den_factors)
+        _, num_factors, den_factors = _split_common(fnum, fden)
         num_factors, den_factors = cls._division_cancel(num_factors, den_factors)
+        return cls._new(
+            model,
+            cnum // g,
+            tuple(sorted(num_factors, key=Poly.sort_key)),
+            cden // g,
+            tuple(sorted(den_factors, key=Poly.sort_key)),
+        )
+
+    @classmethod
+    def _new(cls, model, cnum, fnum, cden, fden) -> "SymRat":
         obj = object.__new__(cls)
         object.__setattr__(obj, "model", model)
         object.__setattr__(obj, "cnum", cnum)
-        object.__setattr__(obj, "fnum", tuple(sorted(num_factors, key=Poly.sort_key)))
+        object.__setattr__(obj, "fnum", fnum)
         object.__setattr__(obj, "cden", cden)
-        object.__setattr__(obj, "fden", tuple(sorted(den_factors, key=Poly.sort_key)))
+        object.__setattr__(obj, "fden", fden)
         return obj
 
     @staticmethod
@@ -504,7 +555,10 @@ class SymRat(SemifieldValue):
 
         Only quotients with nonnegative coefficients are accepted, so the
         subtraction-free invariant is preserved; anything else is left
-        uncancelled (harmless, just a larger representative).
+        uncancelled (harmless, just a larger representative).  A pair is
+        tried only if :meth:`Poly._may_divide` allows it: when it does not,
+        there is no quotient in Z[x] at all, so the filter skips exactly
+        attempts that would fail and the representative is unchanged.
         """
         changed = True
         while changed:
@@ -512,6 +566,8 @@ class SymRat(SemifieldValue):
             for i, f in enumerate(num):
                 for j, g in enumerate(den):
                     big, small = (f, g) if f.degree() >= g.degree() else (g, f)
+                    if not big._may_divide(small):
+                        continue
                     q = big.exact_div(small)
                     if q is None or not q.has_nonnegative_coefficients():
                         continue
@@ -549,11 +605,17 @@ class SymRat(SemifieldValue):
             list(self.fnum) + rest_b, list(other.fnum) + rest_a
         )
         kc = math.gcd(ka, kb)
-        summed = _expand(self.nvars, ka // kc, s1) + _expand(self.nvars, kb // kc, s2)
+        content, summed = (
+            _expand(self.nvars, ka // kc, s1) + _expand(self.nvars, kb // kc, s2)
+        ).primitive()
+        if not summed.has_nonnegative_coefficients():
+            raise SemifieldError("negative-coefficients", "symbolic values must stay subtraction-free")
+        if not summed.is_one():
+            common_num.append(summed)
         return SymRat._build(
             self.model,
-            kc,
-            common_num + [summed],
+            kc * content,
+            common_num,
             gden * (self.cden // gden) * (other.cden // gden),
             common_den + rest_a + rest_b,
         )
@@ -578,6 +640,18 @@ class SymRat(SemifieldValue):
 
     def _nfold(self, k):
         return SymRat._build(self.model, self.cnum * k, self.fnum, self.cden, self.fden)
+
+    def _pow(self, k):
+        # No factor of a value cancels against one of its other side, so the
+        # k-fold multisets need no normalising; repeating each sorted factor
+        # in place keeps them sorted.
+        return SymRat._new(
+            self.model,
+            self.cnum**k,
+            tuple(f for f in self.fnum for _ in range(k)),
+            self.cden**k,
+            tuple(f for f in self.fden for _ in range(k)),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SymRat):

@@ -390,7 +390,10 @@ class TestLimits:
         assert code == 0
         assert dot.count("[label=") - dot.count("->") == 4**6
 
-    @pytest.mark.parametrize("power", ("x^101", "x^3000", "x^3000000", "(x+y)^101*z"))
+    @pytest.mark.parametrize(
+        "power",
+        ("x^101", "x^3000", "x^3000000", "(x+y)^101*z", "(x^100)^100", "((x^10)^10)^2"),
+    )
     def test_exponent_past_the_limit(self, capsys, power):
         code, doc = self.run_limited(
             capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
@@ -398,10 +401,11 @@ class TestLimits:
         )
         assert (code, doc["kind"]) == (1, "limit")
 
-    def test_exponent_at_the_limit(self, capsys):
+    @pytest.mark.parametrize("power", ("x^100", "(x^10)^10"))
+    def test_exponent_at_the_limit(self, capsys, power):
         code, doc = self.run_limited(
             capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
-            "--coords", "x^100,y,z", "--semifield", "sym",
+            "--coords", f"{power},y,z", "--semifield", "sym",
         )
         assert code == 0
         assert doc["payload"][0]["c"] == "y*z / (x^100 + z)"

@@ -93,9 +93,11 @@ class TestExamples:
     def test_exponent_limit(self):
         x = parse_value("x^100", SYM, SYM.vars())
         assert str(x) == "x^100"
-        with pytest.raises(SemifieldError) as error:
-            parse_value("x^101", SYM, SYM.vars())
-        assert error.value.kind == "limit"
+        assert str(parse_value("(x^10)^10 + (y^2*z)^50", SYM, SYM.vars())) == "(x^100 + y^100*z^50)"
+        for text in ("x^101", "(x^100)^100", "((x^10)^10)^2", "(y + (x^20)^2)^3"):
+            with pytest.raises(SemifieldError) as error:
+                parse_value(text, SYM, SYM.vars())
+            assert error.value.kind == "limit", text
 
     def test_rendering(self):
         x, y, _ = sym_vars()
