@@ -19,17 +19,14 @@ from .cartan import (
     validate_datum,
 )
 from .chamber import (
-    ChamberPoint,
     DecoratedWord,
     apply_move,
     canonical,
     decorated,
     is_sigma_fixed,
     lambda_coord,
-    realize,
     rho_coord,
     sigma_action,
-    sigma_action_point,
     transition,
 )
 from .errors import (
@@ -42,7 +39,6 @@ from .errors import (
     WordError,
 )
 from .folding import (
-    FoldedChamberPoint,
     FoldedDecoratedWord,
     b2_closed_form,
     b2_tropical,
@@ -50,7 +46,6 @@ from .folding import (
     fold_coordinates,
     folded_canonical,
     folded_decorated,
-    folded_realize,
     folded_transition,
     lambda_folded,
     rho_folded,

@@ -12,10 +12,12 @@ decorated word in place:
 Both moves are involutions.  Transporting coordinates along any braid-move
 path between two words defines the transition map; the result does not
 depend on the path (path independence is certified by the symbolic checks
-in :mod:`foldline.checks`), so connected components of the decorated-word
-graph are parametrized by the coordinates at any fixed word.  A
-:class:`ChamberPoint` is a component, represented by its coordinates at
-the datum's canonical base word.
+in :mod:`foldline.checks`), so a connected component of the decorated-word
+graph is parametrized by its coordinates at any one word.  A decorated word
+is therefore also its component: :func:`canonical` moves it to the datum's
+base word, where two components are equal exactly when their coordinates
+are, and the reads :func:`lambda_coord`, :func:`rho_coord` and
+:func:`is_sigma_fixed` take a decorated word at any word and move it once.
 
 Reversing a decorated word (its letters and its coordinates) commutes with
 both moves, and the reverse of a reduced word for w_0 is again one, since
@@ -30,8 +32,8 @@ at 0-based position k0, ``~k0`` for a 3-move), kept in a bounded cache per
 (datum, start, goal).  :func:`transport` runs a program over a list in one
 loop: plain ints with (min, +, -) for the tropical models, the values' own
 ``+ * /`` otherwise.  :func:`transition` validates once on entry and builds
-one decorated word at the end; :func:`apply_move` stays the single-move API
-and replays the same path for traces.
+one decorated word at the end; :func:`apply_move` stays the single-move API,
+and replaying :func:`move_path` through it gives the move-by-move trace.
 """
 
 from __future__ import annotations
@@ -217,23 +219,13 @@ def transport(
     return out
 
 
-def transition(dw: DecoratedWord, to_word: Word, collect_trace: bool = False):
-    """Transport coordinates from dw.word to to_word along braid moves.
-
-    Returns the decorated word at ``to_word``; with ``collect_trace`` the
-    path is replayed through :func:`apply_move` and the full move-by-move
-    list of decorated words is returned alongside it.
-    """
+def transition(dw: DecoratedWord, to_word: Word) -> DecoratedWord:
+    """Transport coordinates from dw.word to to_word along braid moves."""
     datum = dw.datum
     _require_simply_laced(datum)
     if to_word.datum != datum:
         raise WordError("datum-mismatch", "target word belongs to a different datum")
     start, goal = dw.word.letters, to_word.letters
-    if collect_trace:
-        trace = [dw]
-        for k, r in move_path(datum, start, goal):
-            trace.append(apply_move(trace[-1], k, r))
-        return trace[-1], trace
     coords = dw.coords
     if coords and isinstance(coords[0], TropInt):
         # moves keep naturals natural; the TropNat wrap still checks the range
@@ -242,45 +234,19 @@ def transition(dw: DecoratedWord, to_word: Word, collect_trace: bool = False):
     return DecoratedWord(to_word, tuple(transport(datum, start, goal, coords)))
 
 
-@dataclass(frozen=True)
-class ChamberPoint:
-    """A connected component of the decorated-word graph.
-
-    Represented by the coordinates at the datum's base word; components are
-    equal exactly when these coordinates are equal.
-    """
-
-    datum: CartanDatum
-    coords: tuple[SemifieldValue, ...]
-
-    @property
-    def word(self) -> Word:
-        return base_word(self.datum)
-
-    def __str__(self) -> str:
-        return str(DecoratedWord(self.word, self.coords))
+def canonical(dw: DecoratedWord) -> DecoratedWord:
+    """The component of a decorated word: its decorated word at the base word."""
+    return transition(dw, base_word(dw.datum))
 
 
-def canonical(dw: DecoratedWord) -> ChamberPoint:
-    """The component of a decorated word (coordinates at the base word)."""
-    at_base = transition(dw, base_word(dw.datum))
-    return ChamberPoint(dw.datum, at_base.coords)
+def lambda_coord(dw: DecoratedWord, i: str) -> SemifieldValue:
+    """First coordinate of the component at any word starting with i."""
+    return transition(dw, reduced_word_for_w0_starting_with(dw.datum, i)).coords[0]
 
 
-def realize(cp: ChamberPoint, word: Word) -> DecoratedWord:
-    """The unique decorated word of the component at the given word."""
-    return transition(DecoratedWord(cp.word, cp.coords), word)
-
-
-def lambda_coord(cp: ChamberPoint, i: str) -> SemifieldValue:
-    """First coordinate at any word starting with i (well defined)."""
-    return realize(cp, reduced_word_for_w0_starting_with(cp.datum, i)).coords[0]
-
-
-def rho_coord(cp: ChamberPoint, i: str) -> SemifieldValue:
+def rho_coord(dw: DecoratedWord, i: str) -> SemifieldValue:
     """Last coordinate at any word ending with i: lambda_i of the reversal."""
-    reversal = DecoratedWord(cp.word.reversed(), cp.coords[::-1])
-    return transition(reversal, reduced_word_for_w0_starting_with(cp.datum, i)).coords[0]
+    return lambda_coord(DecoratedWord(dw.word.reversed(), dw.coords[::-1]), i)
 
 
 def sigma_action(dw: DecoratedWord, sigma: DiagramAutomorphism) -> DecoratedWord:
@@ -290,11 +256,6 @@ def sigma_action(dw: DecoratedWord, sigma: DiagramAutomorphism) -> DecoratedWord
     )
 
 
-def sigma_action_point(cp: ChamberPoint, sigma: DiagramAutomorphism) -> ChamberPoint:
-    """The induced action on components: relabel, then re-canonicalize."""
-    return canonical(sigma_action(DecoratedWord(cp.word, cp.coords), sigma))
-
-
-def is_sigma_fixed(cp: ChamberPoint, sigma: DiagramAutomorphism) -> bool:
-    """True iff the component is fixed by the induced sigma action."""
-    return sigma_action_point(cp, sigma).coords == cp.coords
+def is_sigma_fixed(dw: DecoratedWord, sigma: DiagramAutomorphism) -> bool:
+    """True iff sigma maps the component of dw to itself."""
+    return transition(sigma_action(dw, sigma), dw.word).coords == dw.coords

@@ -388,9 +388,10 @@ def check_crystal(seed: int = 0, samples: int = 200) -> CheckResult:
             fdw = folding.folded_decorated(fd, letters, coords)
             point = folding.s_map(fdw)
             for eta in fd.folded.labels:
-                if folding.lambda_point(point, fd, eta) != folding.lambda_folded(fdw, eta):
+                i = fd.orbit_of(eta)[0]
+                if chamber.lambda_coord(point, i) != folding.lambda_folded(fdw, eta):
                     failures["folded-lambda-rho"] += 1
-                if folding.rho_point(point, fd, eta) != folding.rho_folded(fdw, eta):
+                if chamber.rho_coord(point, i) != folding.rho_folded(fdw, eta):
                     failures["folded-lambda-rho"] += 1
         return all(v == 0 for v in failures.values()), failures
 

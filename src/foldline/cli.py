@@ -87,11 +87,16 @@ def _datum_of(args) -> tuple:
     return builtin(name or "A2")
 
 
+def _print_json(document: dict) -> None:
+    """The one printer of every JSON document the CLI writes."""
+    print(json.dumps(document, indent=2, sort_keys=True))
+
+
 def _emit(payload, trace=None) -> int:
     document = {"status": "ok", "payload": payload}
     if trace is not None:
         document["trace"] = trace
-    print(json.dumps(document, indent=2, sort_keys=True))
+    _print_json(document)
     return 0
 
 
@@ -155,14 +160,12 @@ def _cmd_transition(args) -> int:
     source = chamber.decorated(datum, _split_word(args.from_word), coords)
     target = word_for_w0(datum, _split_word(args.to_word))
     if args.trace:
-        moved, steps = chamber.transition(source, target, collect_trace=True)
-        moves = chamber.move_path(datum, source.word.letters, target.letters)
-        trace = [
-            {"move": None if index == 0 else list(moves[index - 1]),
-             "decorated": _decorated_json(step)}
-            for index, step in enumerate(steps)
-        ]
-        return _emit(_decorated_json(moved), trace=trace)
+        step = source
+        trace = [{"move": None, "decorated": _decorated_json(step)}]
+        for k, r in chamber.move_path(datum, source.word.letters, target.letters):
+            step = chamber.apply_move(step, k, r)
+            trace.append({"move": [k, r], "decorated": _decorated_json(step)})
+        return _emit(_decorated_json(step), trace=trace)
     moved = chamber.transition(source, target)
     return _emit(_decorated_json(moved))
 
@@ -170,11 +173,9 @@ def _cmd_transition(args) -> int:
 def _cmd_coordinate_read(args, use_lambda: bool) -> int:
     datum, _ = _datum_of(args)
     coords = _parse_coords(args.coords, args.semifield)
-    point = chamber.canonical(
-        chamber.decorated(datum, _split_word(args.word), coords)
-    )
+    dw = chamber.decorated(datum, _split_word(args.word), coords)
     read = chamber.lambda_coord if use_lambda else chamber.rho_coord
-    return _emit({"i": args.i, "value": _value_json(read(point, args.i))})
+    return _emit({"i": args.i, "value": _value_json(read(dw, args.i))})
 
 
 def _cmd_folded_transition(args) -> int:
@@ -219,28 +220,13 @@ def _cmd_verify(args) -> int:
         if not args.id:
             raise UsageError("verify chain needs --id")
         certificate = folding.verify_chain(args.id)
-        print(
-            json.dumps(
-                {"status": "ok", "payload": certificate.to_json()},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _emit(certificate.to_json())
         return 0 if certificate.ok else 1
     if args.what == "all":
         results = checks.check_all(args.seed, args.trials)
         for result in results:
             print(f"{'PASS' if result.ok else 'FAIL'}  {result.name}")
-        print(
-            json.dumps(
-                {
-                    "status": "ok",
-                    "payload": [result.to_json() for result in results],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _emit([result.to_json() for result in results])
         return 0 if all(result.ok for result in results) else 1
     result = _VERIFY_RUNNERS[args.what](args.seed, args.trials)
     _emit(result.to_json())
@@ -401,24 +387,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exit_error.code not in (0, None) else 0
     try:
         return args.run(args)
-    except UsageError as error:
-        print(
-            json.dumps(
-                {"status": "error", "kind": error.kind, "message": str(error)},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 2
     except FoldlineError as error:
-        print(
-            json.dumps(
-                {"status": "error", "kind": error.kind, "message": str(error)},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 1
+        _print_json({"status": "error", "kind": error.kind, "message": str(error)})
+        return 2 if isinstance(error, UsageError) else 1
 
 
 if __name__ == "__main__":

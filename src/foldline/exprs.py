@@ -24,6 +24,10 @@ from .semifield import Semifield, SemifieldValue
 # as (x^10)^10: every later operation on x^k pays for its k factors.
 EXPONENT_LIMIT = 100
 
+# Most tokens in one expression: a product x*x*...*x costs time quadratic
+# in its length, and the longest certificate expression has 25 tokens.
+TOKEN_LIMIT = 1000
+
 _TOKEN = re.compile(r"\s*(\*\*|[()+*/^]|\d+|[A-Za-z_][A-Za-z0-9_]*)")
 
 
@@ -110,7 +114,10 @@ class _Parser:
 
 def parse_value(text: str, model: Semifield, env: Mapping[str, SemifieldValue] | None = None) -> SemifieldValue:
     """Parse one subtraction-free expression into a semifield value."""
-    parser = _Parser(_tokenize(text), model, env or {})
+    tokens = _tokenize(text)
+    if len(tokens) > TOKEN_LIMIT:
+        raise SemifieldError("limit", f"expression has {len(tokens)} tokens, above {TOKEN_LIMIT}")
+    parser = _Parser(tokens, model, env or {})
     value = parser.expr()
     if parser.peek() is not None:
         raise SemifieldError("parse", f"trailing input at {parser.peek()!r}")

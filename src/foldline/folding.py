@@ -10,11 +10,13 @@ sum).  Concretely, a singleton or pairwise-orthogonal orbit with
 coordinate c expands to c on every letter, and a joined pair {i, i'}
 expands (i, i', i) to (c, 2c, c).
 
-The induced map into chamber points does not depend on the filling and
-lands in the sigma-fixed points; reading the blocks back off any target
-folded word inverts it, and the block pattern holds there exactly at the
-sigma-fixed points.  Composing the two gives transition maps between
-folded words, one transition each way.  Reversal commutes with unfolding
+The component of the unfolding does not depend on the filling and is
+sigma-fixed.  Reading the blocks back off any target folded word inverts
+unfolding, and the block pattern holds there exactly at the sigma-fixed
+components.  So a transition map between folded words is one transition
+in the source datum: unfold, move to the unfolded target word, read the
+blocks.  A folded component is its folded decorated word at the folded
+base word (:func:`folded_canonical`).  Reversal commutes with unfolding
 (a reversed filling is again a filling), so the last coordinate at a
 folded word is the first coordinate of the reversed folded word.
 
@@ -42,11 +44,11 @@ from typing import Optional, Sequence
 
 from . import chamber
 from .cartan import FoldedDatum, builtin, fold
-from .chamber import ChamberPoint, DecoratedWord, canonical, realize
+from .chamber import DecoratedWord, canonical, transition
 from .errors import FoldingError, FoldlineError
 from .exprs import parse_value
 from .semifield import SemifieldValue, SymbolicSemifield, TropInt
-from .weyl import orbit_longest, orbit_reduced_words, word_for_w0
+from .weyl import base_word, orbit_longest, orbit_reduced_words, word_for_w0
 from .weyl import reduced_word_for_w0_starting_with
 
 Filling = tuple[tuple[str, ...], ...]
@@ -126,8 +128,11 @@ def unfold(
     return DecoratedWord(word_for_w0(fd.source, tuple(letters)), tuple(coords))
 
 
-def s_map(fdw: FoldedDecoratedWord, filling: Optional[Filling] = None) -> ChamberPoint:
-    """The chamber point of the unfolding (independent of the filling)."""
+def s_map(fdw: FoldedDecoratedWord, filling: Optional[Filling] = None) -> DecoratedWord:
+    """The component of the unfolding, at the source base word.
+
+    It does not depend on the filling.
+    """
     return canonical(unfold(fdw, filling))
 
 
@@ -140,23 +145,24 @@ def all_fillings(fd: FoldedDatum, letters: Sequence[str]):
 
 
 def fold_coordinates(
-    fd: FoldedDatum, cp: ChamberPoint, letters: Sequence[str]
+    fd: FoldedDatum, dw: DecoratedWord, letters: Sequence[str]
 ) -> FoldedDecoratedWord:
-    """Read the folded coordinates of a sigma-fixed chamber point.
+    """Read the folded coordinates of a sigma-fixed component at a folded word.
 
-    Transition to the unfolded target word, then read one coordinate per
-    block and check the block pattern (constant on orthogonal orbits,
-    (c, 2c, c) on a joined pair).  The pattern alone decides
-    sigma-fixedness: where it holds the point is the s_map image of the
-    coordinates read, and every sigma-fixed point has it, so one
-    transition does the work of both.
+    dw is a decorated word of the source datum at any word.  Transition it
+    to the unfolded target word, then read one coordinate per block and
+    check the block pattern (constant on orthogonal orbits, (c, 2c, c) on
+    a joined pair).  The pattern alone decides sigma-fixedness: where it
+    holds the component is the s_map image of the coordinates read, and
+    every sigma-fixed component has it, so one transition does the work of
+    both.
     """
     letters = word_for_w0(fd.folded, letters).letters
-    if cp.datum != fd.source:
-        raise FoldingError("datum-mismatch", "chamber point belongs to a different datum")
+    if dw.datum != fd.source:
+        raise FoldingError("datum-mismatch", "decorated word belongs to a different datum")
     filling = default_filling(fd, letters)
     concat = tuple(i for orbit_word in filling for i in orbit_word)
-    unfolded = realize(cp, word_for_w0(fd.source, concat))
+    unfolded = transition(dw, word_for_w0(fd.source, concat))
     coords: list[SemifieldValue] = []
     offset = 0
     for orbit_word in filling:
@@ -168,7 +174,7 @@ def fold_coordinates(
         for entry, eps in zip(block, eps_each):
             expected = value if eps == eps_max else 2 * value
             if entry != expected:
-                raise FoldingError("not-sigma-fixed", "can only fold sigma-fixed chamber points")
+                raise FoldingError("not-sigma-fixed", "can only fold sigma-fixed components")
         coords.append(value)
     return FoldedDecoratedWord(fd, letters, tuple(coords))
 
@@ -177,44 +183,12 @@ def folded_transition(
     fdw: FoldedDecoratedWord, to_letters: Sequence[str]
 ) -> FoldedDecoratedWord:
     """Transport folded coordinates to another folded word (unfold, move, read)."""
-    return fold_coordinates(fdw.fold, s_map(fdw), to_letters)
+    return fold_coordinates(fdw.fold, unfold(fdw), to_letters)
 
 
-@dataclass(frozen=True)
-class FoldedChamberPoint:
-    """A sigma-fixed component in folded coordinates.
-
-    Represented at the folded datum's base word; points are equal exactly
-    when their coordinate vectors are (the folded parametrization is a
-    bijection onto the sigma-fixed components).
-    """
-
-    fold: FoldedDatum
-    coords: tuple[SemifieldValue, ...]
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        from .weyl import base_word
-
-        return base_word(self.fold.folded).letters
-
-    def __str__(self) -> str:
-        return str(FoldedDecoratedWord(self.fold, self.letters, self.coords))
-
-
-def folded_canonical(fdw: FoldedDecoratedWord) -> FoldedChamberPoint:
-    """The component of a folded decorated word."""
-    from .weyl import base_word
-
-    at_base = folded_transition(fdw, base_word(fdw.fold.folded).letters)
-    return FoldedChamberPoint(fdw.fold, at_base.coords)
-
-
-def folded_realize(fcp: FoldedChamberPoint, letters: Sequence[str]) -> FoldedDecoratedWord:
-    """The unique folded decorated word of a component at the given word."""
-    return folded_transition(
-        FoldedDecoratedWord(fcp.fold, fcp.letters, fcp.coords), tuple(letters)
-    )
+def folded_canonical(fdw: FoldedDecoratedWord) -> FoldedDecoratedWord:
+    """The component of a folded decorated word: its coordinates at the folded base word."""
+    return folded_transition(fdw, base_word(fdw.fold.folded).letters)
 
 
 def lambda_folded(fdw: FoldedDecoratedWord, eta: str) -> SemifieldValue:
@@ -227,16 +201,6 @@ def rho_folded(fdw: FoldedDecoratedWord, eta: str) -> SemifieldValue:
     """Last coordinate at a folded word ending with eta: lambda_eta of the reversal."""
     reversal = FoldedDecoratedWord(fdw.fold, fdw.letters[::-1], fdw.coords[::-1])
     return lambda_folded(reversal, eta)
-
-
-def lambda_point(cp: ChamberPoint, fd: FoldedDatum, eta: str) -> SemifieldValue:
-    """First coordinate of a sigma-fixed point at a word starting in the orbit."""
-    return chamber.lambda_coord(cp, fd.orbit_of(eta)[0])
-
-
-def rho_point(cp: ChamberPoint, fd: FoldedDatum, eta: str) -> SemifieldValue:
-    """Last coordinate of a sigma-fixed point at a word ending in the orbit."""
-    return chamber.rho_coord(cp, fd.orbit_of(eta)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +356,8 @@ def verify_chain_data(data: dict) -> ChainCertificate:
             step = ChainStep(index + 1, 0, 0, False, f"{error.kind}: {error}")
         steps.append(step)
     try:
-        first = fold_coordinates(fd, canonical(lines[0]), tuple(data["folded_words"]["first"]))
-        last = fold_coordinates(fd, canonical(lines[-1]), tuple(data["folded_words"]["last"]))
+        first = fold_coordinates(fd, lines[0], tuple(data["folded_words"]["first"]))
+        last = fold_coordinates(fd, lines[-1], tuple(data["folded_words"]["last"]))
         if data["closed_form_input"] == "first":
             source, target, direction = first, last, "first -> last"
         else:

@@ -37,7 +37,7 @@ from typing import Sequence
 
 from . import chamber, folding
 from .cartan import CartanDatum, DiagramAutomorphism, FoldedDatum
-from .chamber import ChamberPoint, DecoratedWord
+from .chamber import DecoratedWord
 from .errors import MonoidError
 from .semifield import TropNat
 from .weyl import Word, base_word, reduced_word_for_w0_starting_with, word_for_w0
@@ -69,9 +69,6 @@ class MonoidElement:
 
     def decorated(self) -> DecoratedWord:
         return DecoratedWord(self.word, tuple(TropNat(c) for c in self.coords))
-
-    def chamber_point(self) -> ChamberPoint:
-        return ChamberPoint(self.datum, tuple(TropNat(c) for c in self.coords))
 
     def __str__(self) -> str:
         return str(self.decorated())
@@ -170,7 +167,7 @@ def folded_mul(
     product = mul(elements[0], elements[1])
     if not is_sigma_fixed_monoid(product, fd.sigma):
         raise MonoidError("not-sigma-fixed", "product of sigma-fixed elements must be sigma-fixed")
-    back = folding.fold_coordinates(fd, product.chamber_point(), letters)
+    back = folding.fold_coordinates(fd, product.decorated(), letters)
     return tuple(c.n for c in back.coords)
 
 

@@ -12,7 +12,7 @@ from foldline.chamber import (
     decorated,
     is_sigma_fixed,
     lambda_coord,
-    realize,
+    move_path,
     rho_coord,
     sigma_action,
     transition,
@@ -96,9 +96,13 @@ class TestTransition:
             assert all(p == q for p, q in zip(back.coords, xs))
 
     def test_trace(self):
+        """The move-by-move trace: apply_move along move_path."""
         dw = decorated(A2, ("1", "2", "1"), (T(0), T(1), T(2)))
-        out, trace = transition(dw, word_for_w0(A2, ("2", "1", "2")), collect_trace=True)
-        assert len(trace) == 2 and trace[-1].coords == out.coords
+        word = word_for_w0(A2, ("2", "1", "2"))
+        trace = [dw]
+        for k, r in move_path(A2, dw.word.letters, word.letters):
+            trace.append(apply_move(trace[-1], k, r))
+        assert len(trace) == 2 and trace[-1] == transition(dw, word)
 
     def test_non_simply_laced_rejected(self):
         b2, _ = builtin("B:n=2")
@@ -120,16 +124,16 @@ class TestTransition:
                 dw = apply_move(dw, k, r)  # raises SemifieldError on underflow
 
 
-class TestChamberPoints:
+class TestComponents:
     def test_canonical_example(self):
         cp = canonical(decorated(A2, ("2", "1", "2"), (T(3), T(0), T(1))))
         assert cp.word.letters == ("1", "2", "1")
         assert [c.n for c in cp.coords] == [0, 1, 2]
 
-    def test_canonical_realize_inverse(self):
+    def test_canonical_transition_inverse(self):
         cp = canonical(decorated(A2, ("1", "2", "1"), (T(5), T(1), T(4))))
         word = word_for_w0(A2, ("2", "1", "2"))
-        assert canonical(realize(cp, word)).coords == cp.coords
+        assert canonical(transition(cp, word)) == cp
 
     def test_one_move_apart_same_point(self):
         dw = decorated(A2, ("1", "2", "1"), (T(0), T(1), T(2)))
@@ -153,7 +157,7 @@ class TestChamberPoints:
                 if letters[0] == i
             ]
             values = {
-                str(realize(cp, word_for_w0(A3, letters)).coords[0])
+                str(transition(cp, word_for_w0(A3, letters)).coords[0])
                 for letters in starts
             }
             assert len(values) == 1
@@ -163,7 +167,7 @@ class TestChamberPoints:
                 if letters[-1] == i
             ]
             values = {
-                str(realize(cp, word_for_w0(A3, letters)).coords[-1])
+                str(transition(cp, word_for_w0(A3, letters)).coords[-1])
                 for letters in ends
             }
             assert len(values) == 1

@@ -409,3 +409,19 @@ class TestLimits:
         )
         assert code == 0
         assert doc["payload"][0]["c"] == "y*z / (x^100 + z)"
+
+    def test_product_past_the_token_limit(self, capsys):
+        # 4,000 factors are 7,999 tokens; unbounded, they took about 6 s
+        code, doc = self.run_limited(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", "*".join(["x"] * 4000) + ",y,z", "--semifield", "sym",
+        )
+        assert (code, doc["kind"]) == (1, "limit")
+
+    def test_product_under_the_token_limit(self, capsys):
+        code, doc = self.run_limited(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", "*".join(["x"] * 400) + ",y,z", "--semifield", "sym",
+        )
+        assert code == 0
+        assert doc["payload"][0]["c"] == "y*z / (x^400 + z)"

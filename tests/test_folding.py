@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from foldline.cartan import builtin, fold, identity_automorphism
-from foldline.chamber import ChamberPoint, canonical, decorated, is_sigma_fixed
+from foldline.chamber import (
+    DecoratedWord,
+    canonical,
+    decorated,
+    is_sigma_fixed,
+    lambda_coord,
+    rho_coord,
+)
 from foldline.errors import FoldingError, WordError
 from foldline.checks import ALL_CHECKS
 from foldline.folding import (
@@ -19,11 +26,10 @@ from foldline.folding import (
     fold_coordinates,
     folded_decorated,
     folded_transition,
+    folded_canonical,
     lambda_folded,
-    lambda_point,
     load_chain_data,
     rho_folded,
-    rho_point,
     s_map,
     standard_folding,
     unfold,
@@ -170,8 +176,8 @@ class TestFoldCoordinates:
             perturbed = list(fixed.coords)
             k = rng.randrange(size)
             perturbed[k] = perturbed[k] * (T(1) if model == "tropz" else R(2))
-            points = (fixed, ChamberPoint(fd.source, tuple(perturbed)),
-                      ChamberPoint(fd.source, tuple(values(size))))
+            points = (fixed, DecoratedWord(fixed.word, tuple(perturbed)),
+                      DecoratedWord(fixed.word, tuple(values(size))))
             for point in points:
                 expected = is_sigma_fixed(point, fd.sigma)
                 try:
@@ -215,11 +221,10 @@ class TestFoldedTransition:
         assert back.coords == fdw.coords
 
     def test_folded_component_representatives(self):
-        from foldline.folding import folded_canonical, folded_realize
-
         fdw = folded_decorated(FD_A3, START, tuple(map(R, (2, 3, 5, 7))))
         point = folded_canonical(fdw)
-        assert folded_realize(point, START).coords == fdw.coords
+        assert point.letters == base_word(FD_A3.folded).letters
+        assert folded_transition(point, START).coords == fdw.coords
         # one word apart, same component
         moved = folded_transition(fdw, GOAL)
         assert folded_canonical(moved) == point
@@ -364,8 +369,9 @@ class TestFoldedCoordinateReads:
                 fdw = folded_decorated(fd, letters, coords)
                 point = s_map(fdw)
                 for eta in fd.folded.labels:
-                    assert lambda_point(point, fd, eta) == lambda_folded(fdw, eta)
-                    assert rho_point(point, fd, eta) == rho_folded(fdw, eta)
+                    i = fd.orbit_of(eta)[0]
+                    assert lambda_coord(point, i) == lambda_folded(fdw, eta)
+                    assert rho_coord(point, i) == rho_folded(fdw, eta)
 
     def test_lambda_folded_direct(self):
         fdw = folded_decorated(FD_A3, START, tuple(map(N, (4, 5, 6, 7))))

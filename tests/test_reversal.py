@@ -6,7 +6,7 @@ replaced, kept here so a wrong reversal cannot hide behind the scan and
 coordinate agreeing with each other:
 
 * ``right_mul_gen``: min into the last coordinate at an i-last word;
-* ``rho_coord``: the last coordinate of ``realize`` at an i-last word;
+* ``rho_coord``: the last coordinate of ``transition`` to an i-last word;
 * ``rho_folded``: the last coordinate of ``folded_transition`` to an
   eta-last folded word.
 
@@ -21,12 +21,11 @@ import pytest
 
 from foldline import chamber
 from foldline.cartan import builtin
-from foldline.chamber import ChamberPoint, canonical, decorated, realize, rho_coord
+from foldline.chamber import DecoratedWord, canonical, decorated, rho_coord, transition
 from foldline.folding import (
     folded_decorated,
     folded_transition,
     rho_folded,
-    rho_point,
     s_map,
     standard_folding,
 )
@@ -58,8 +57,8 @@ def direct_right_mul_gen(m, gen):
     return MonoidElement(m.datum, tuple(chamber.transport(m.datum, word, m.word.letters, coords)))
 
 
-def direct_rho_coord(cp, i):
-    return realize(cp, last_word(cp.datum, i)).coords[-1]
+def direct_rho_coord(dw, i):
+    return transition(dw, last_word(dw.datum, i)).coords[-1]
 
 
 def direct_rho_folded(fdw, eta):
@@ -117,7 +116,7 @@ class TestMonoid:
 
     def test_right_string_matches_direct_routes(self):
         for m, i in monoid_cases():
-            expected = direct_rho_coord(m.chamber_point(), i).n
+            expected = direct_rho_coord(m.decorated(), i).n
             assert r_coordinate(m, i) == expected
             assert r_scan(m, i) == direct_r_scan(m, i) == expected
 
@@ -140,7 +139,7 @@ class TestChamber:
     def test_every_small_a3_point(self, model):
         size = len(base_word(A3).letters)
         for values in itertools.product(range(3), repeat=size):
-            cp = ChamberPoint(A3, model_values(model, values))
+            cp = DecoratedWord(base_word(A3), model_values(model, values))
             for i in A3.labels:
                 assert same(rho_coord(cp, i), direct_rho_coord(cp, i))
 
@@ -151,7 +150,7 @@ class TestChamber:
             size = len(base_word(datum).letters)
             for _ in range(15):
                 values = [rng.randint(0, 7) for _ in range(size)]
-                cp = ChamberPoint(datum, model_values(model, values))
+                cp = DecoratedWord(base_word(datum), model_values(model, values))
                 for i in datum.labels:
                     assert same(rho_coord(cp, i), direct_rho_coord(cp, i))
 
@@ -186,8 +185,9 @@ class TestFolded:
                 for eta in fd.folded.labels:
                     expected = direct_rho_folded(fdw, eta)
                     assert same(rho_folded(fdw, eta), expected)
-                    assert same(rho_point(point, fd, eta), direct_rho_coord(point, fd.orbit_of(eta)[0]))
-                    assert rho_point(point, fd, eta) == expected
+                    i = fd.orbit_of(eta)[0]
+                    assert same(rho_coord(point, i), direct_rho_coord(point, i))
+                    assert rho_coord(point, i) == expected
 
     @pytest.mark.parametrize("name", FOLDS)
     def test_symbolic(self, name):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from foldline.errors import SemifieldError
-from foldline.exprs import parse_value
+from foldline.exprs import TOKEN_LIMIT, parse_value
 from foldline.semifield import (
     RATIONALS,
     TROP_INT,
@@ -98,6 +98,14 @@ class TestExamples:
             with pytest.raises(SemifieldError) as error:
                 parse_value(text, SYM, SYM.vars())
             assert error.value.kind == "limit", text
+
+    def test_token_limit(self):
+        # n factors joined by '*' are 2n - 1 tokens
+        assert str(parse_value("*".join(["x"] * 500), SYM, SYM.vars())) == "x^500"
+        with pytest.raises(SemifieldError) as error:
+            parse_value("*".join(["x"] * 501), SYM, SYM.vars())
+        assert error.value.kind == "limit"
+        assert str(error.value) == f"expression has 1001 tokens, above {TOKEN_LIMIT}"
 
     def test_rendering(self):
         x, y, _ = sym_vars()
