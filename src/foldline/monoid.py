@@ -12,8 +12,11 @@ word for w_0 with natural exponents form a submonoid whose elements have a
 unique normal form: coordinates in N^N at the datum's base word, related
 across words by the tropical transition maps of :mod:`foldline.chamber`.
 Left multiplication by xi_i^n replaces the first coordinate c_1 by
-min(n, c_1) in any word starting with i.  General products expand the left
-factor into its generator string and act letter by letter.
+min(n, c_1) in any word starting with i.  A product m1 m2 is m1's generator
+string acting on m2, last letter first.  Transition maps compose, so the
+raw int coordinates move straight from one i-first word to the next, with
+one min per letter, and back to the base word once at the end: an N-letter
+left factor costs N + 1 transports and builds one element.
 
 Relations (i)-(iii) read the same backwards (swap a and c in (iii)), so
 reading the generator string of m backwards is an anti-automorphism
@@ -33,13 +36,13 @@ automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import chamber, folding
 from .cartan import CartanDatum, DiagramAutomorphism, FoldedDatum
 from .chamber import DecoratedWord
 from .errors import MonoidError
-from .semifield import TropNat
+from .semifield import TropInt, TropNat
 from .weyl import Word, base_word, reduced_word_for_w0_starting_with, word_for_w0
 
 @dataclass(frozen=True)
@@ -58,7 +61,9 @@ class MonoidElement:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not isinstance(c, int) or c < 0 for c in self.coords):
+        # exactly int: a bool (or any int subclass) would take the rational
+        # branch of chamber.transport
+        if any(type(c) is not int or c < 0 for c in self.coords):
             raise MonoidError("bad-coords", "normal-form coordinates must be naturals")
         if len(self.coords) != len(base_word(self.datum).letters):
             raise MonoidError("bad-coords", "coordinate count must match the word length")
@@ -89,17 +94,32 @@ def normal_form(datum: CartanDatum, letters: Sequence[str], coords: Sequence[int
     return _from_word_coords(datum, word_for_w0(datum, letters), naturals)
 
 
+def _act(m: MonoidElement, steps: Iterable[tuple[str, int]]) -> MonoidElement:
+    """Act on m with xi_i^n for each step (i, n) in turn; every n a natural.
+
+    The coordinates stay raw ints at the current word: each step moves them
+    straight to an i-first word and mins n into the first one, and the last
+    word moves back to the base word once.
+    """
+    datum = m.datum
+    word, coords = m.word, m.coords
+    for i, n in steps:
+        goal = reduced_word_for_w0_starting_with(datum, i)
+        coords = chamber.transport(datum, word.letters, goal.letters, coords)
+        coords[0] = min(n, coords[0])
+        word = goal
+    return _from_word_coords(datum, word, coords)
+
+
 def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
     """xi_i^n . m: min into the first coordinate of an i-first word."""
+    TropInt(gen.n)  # typed not-integer error before the sign test, bools included
     if gen.n < 0:
         raise MonoidError(
             "negative-exponent",
             "only exponents n >= 0 stabilize the normal-form submonoid",
         )
-    word = reduced_word_for_w0_starting_with(m.datum, gen.i)
-    coords = _coords_at(m, word)
-    coords[0] = min(TropNat(gen.n).n, coords[0])  # typed error for a non-integer n
-    return _from_word_coords(m.datum, word, coords)
+    return _act(m, ((gen.i, gen.n),))
 
 
 def reverse(m: MonoidElement) -> MonoidElement:
@@ -123,10 +143,7 @@ def mul(m1: MonoidElement, m2: MonoidElement) -> MonoidElement:
     """Product in the monoid: act with m1's generator string on m2."""
     if m1.datum != m2.datum:
         raise MonoidError("datum-mismatch", "elements live over different data")
-    out = m2
-    for gen in reversed(generator_string(m1)):
-        out = left_mul_gen(gen, out)
-    return out
+    return _act(m2, zip(m1.word.letters[::-1], m1.coords[::-1]))
 
 
 def sigma_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> MonoidElement:
@@ -141,6 +158,8 @@ def is_sigma_fixed_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> bool:
 
 def frobenius(e: int, m: MonoidElement) -> MonoidElement:
     """The endomorphism scaling every generator exponent by e >= 1."""
+    if type(e) is not int:
+        raise MonoidError("bad-exponent", f"the scaling exponent must be an int, got {e!r}")
     if e < 1:
         raise MonoidError("bad-exponent", "the scaling endomorphism needs e >= 1")
     return MonoidElement(m.datum, tuple(e * c for c in m.coords))
@@ -229,13 +248,14 @@ def lower_to_zero(m: MonoidElement, i: str) -> MonoidElement:
 
 def raise_to(n: int, m: MonoidElement, i: str) -> MonoidElement:
     """Inverse of lower_to_zero onto the l_i = n fiber (needs l_i(m) = 0)."""
+    TropInt(n)  # typed not-integer error before the sign test, bools included
     if n < 0:
         raise MonoidError("bad-exponent", "the target fiber needs n >= 0")
     word = reduced_word_for_w0_starting_with(m.datum, i)
     coords = _coords_at(m, word)
     if coords[0] != 0:
         raise MonoidError("raise-precondition", f"raise_to needs l_{i}(m) = 0")
-    coords[0] = TropNat(n).n  # typed error for a non-integer n
+    coords[0] = n
     return _from_word_coords(m.datum, word, coords)
 
 

@@ -168,7 +168,9 @@ class TropInt(SemifieldValue):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        if not isinstance(n, int):
+        # exactly int: chamber.transport moves only plain ints by (min, +, -),
+        # and a bool would take its rational branch
+        if type(n) is not int:
             raise SemifieldError("not-integer", f"tropical value must be an int, got {n!r}")
         object.__setattr__(self, "n", n)
 

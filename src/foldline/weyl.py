@@ -184,6 +184,17 @@ def reduced_word_for_w0_starting_with(datum: CartanDatum, i: str) -> Word:
 # Braid moves and the word graph
 
 
+@lru_cache(maxsize=64)
+def _h_table(datum: CartanDatum) -> dict[tuple[str, str], int]:
+    """h(i, j) for every ordered pair of distinct labels."""
+    return {
+        (i, j): h_value(datum, i, j)
+        for i in datum.labels
+        for j in datum.labels
+        if i != j
+    }
+
+
 def braid_neighbors(word: Word) -> list[tuple[Word, int, int]]:
     """All words one braid move away, as (word, position k, move length r).
 
@@ -191,13 +202,16 @@ def braid_neighbors(word: Word) -> list[tuple[Word, int, int]]:
     """
     datum = word.datum
     letters = word.letters
+    h = _h_table(datum)
     out = []
     n = len(letters)
     for k0 in range(n - 1):
         p, q = letters[k0], letters[k0 + 1]
         if p == q:
             continue
-        r = h_value(datum, p, q)
+        r = h.get((p, q))
+        if r is None:
+            r = h_value(datum, p, q)  # raises the typed unknown-label error
         if k0 + r > n:
             continue
         segment = letters[k0 : k0 + r]

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from foldline import chamber
 from foldline.cartan import builtin
-from foldline.errors import MonoidError
+from foldline.errors import MonoidError, SemifieldError
 from foldline.folding import folded_decorated, standard_folding, unfold
 from foldline.monoid import (
     MonoidElement,
@@ -30,6 +31,7 @@ from foldline.monoid import (
     sigma_monoid,
 )
 from foldline.semifield import TropNat
+from foldline.weyl import base_word, reduced_word_for_w0_starting_with
 
 A1, _ = builtin("A1")
 A2, _ = builtin("A2")
@@ -167,6 +169,124 @@ class TestMul:
         gens = generator_string(m)
         assert [g.i for g in gens] == ["1", "2", "1"]
         assert [g.n for g in gens] == [2, 3, 1]
+
+
+def one_generator_at_a_time(m1, m2):
+    """m1 m2 as m1's generator string acting on m2 through left_mul_gen."""
+    out = m2
+    for gen in reversed(generator_string(m1)):
+        out = left_mul_gen(gen, out)
+    return out
+
+
+def gen_by_definition(gen, m):
+    """xi_i^n m from typed decorated words: min into the first coordinate at
+    an i-first word, then the component's coordinates at the base word."""
+    word = reduced_word_for_w0_starting_with(m.datum, gen.i)
+    coords = [c.n for c in chamber.transition(m.decorated(), word).coords]
+    coords[0] = min(gen.n, coords[0])
+    moved = chamber.canonical(
+        chamber.DecoratedWord(word, tuple(TropNat(c) for c in coords))
+    )
+    return MonoidElement(m.datum, tuple(c.n for c in moved.coords))
+
+
+WALK_DATA = ("A3", "A4", "D4+triality", "A4+flip")
+
+
+class TestProductWalk:
+    """mul walks raw ints across i-first words; it must agree with the
+    product taken one generator (and one element) at a time."""
+
+    @pytest.mark.parametrize("name", WALK_DATA)
+    def test_mul_matches_one_generator_at_a_time(self, name):
+        datum, _ = builtin(name)
+        rng = random.Random(sum(map(ord, name)))
+        for bound in (6, 10**6):
+            for _ in range(6):
+                m1, m2 = rand_element(rng, datum, bound), rand_element(rng, datum, bound)
+                assert mul(m1, m2) == one_generator_at_a_time(m1, m2)
+
+    @pytest.mark.parametrize("name", WALK_DATA)
+    def test_left_mul_gen_matches_definition(self, name):
+        datum, _ = builtin(name)
+        rng = random.Random(sum(map(ord, name)) + 1)
+        for bound in (6, 10**6):
+            for _ in range(6):
+                m = rand_element(rng, datum, bound)
+                gen = MonoidGenerator(rng.choice(datum.labels), rng.randint(0, bound))
+                assert left_mul_gen(gen, m) == gen_by_definition(gen, m)
+
+    @pytest.mark.parametrize("name", WALK_DATA)
+    def test_mul_makes_n_plus_one_transports_and_one_element(self, name, monkeypatch):
+        from foldline import monoid
+
+        datum, _ = builtin(name)
+        n = len(base_word(datum).letters)
+        rng = random.Random(sum(map(ord, name)) + 2)
+        m1, m2 = rand_element(rng, datum), rand_element(rng, datum)
+        transports, elements = [], []
+        transport, post_init = monoid.chamber.transport, MonoidElement.__post_init__
+
+        def counting_transport(*args):
+            transports.append(args[1:3])
+            return transport(*args)
+
+        def counting_post_init(self):
+            elements.append(self.coords)
+            post_init(self)
+
+        monkeypatch.setattr(monoid.chamber, "transport", counting_transport)
+        monkeypatch.setattr(MonoidElement, "__post_init__", counting_post_init)
+        product = mul(m1, m2)
+        assert len(transports) == n + 1
+        assert elements == [product.coords]
+
+    def test_left_mul_gen_exponent_errors(self):
+        m = MonoidElement(A2, (1, 2, 3))
+        with pytest.raises(MonoidError) as error:
+            left_mul_gen(MonoidGenerator("2", -1), m)
+        assert error.value.kind == "negative-exponent"
+        with pytest.raises(SemifieldError) as error:
+            left_mul_gen(MonoidGenerator("2", 1.5), m)
+        assert error.value.kind == "not-integer"
+
+
+class TestBoolsAreNotIntegers:
+    """isinstance(True, int) holds; bools must still fail every int check."""
+
+    m = MonoidElement(A2, (1, 2, 3))
+
+    @pytest.mark.parametrize("coords", ((True, False, True), (1, True, 3)))
+    def test_bool_coordinates_rejected(self, coords):
+        # such an element used to print 1^True ..., and mul and l_coordinate
+        # then took the rational branch of transport
+        with pytest.raises(MonoidError) as error:
+            MonoidElement(A2, coords)
+        assert error.value.kind == "bad-coords"
+
+    def test_bool_coordinates_rejected_along_any_word(self):
+        with pytest.raises(SemifieldError) as error:
+            normal_form(A2, ("2", "1", "2"), (True, False, True))
+        assert error.value.kind == "not-integer"
+
+    @pytest.mark.parametrize("n", (True, False, "2", 1.5))
+    def test_generator_exponent_type_checked_before_sign(self, n):
+        actions = (
+            lambda: left_mul_gen(MonoidGenerator("1", n), self.m),
+            lambda: right_mul_gen(self.m, MonoidGenerator("1", n)),
+            lambda: raise_to(n, self.m, "2"),
+        )
+        for act in actions:
+            with pytest.raises(SemifieldError) as error:
+                act()
+            assert error.value.kind == "not-integer"
+
+    @pytest.mark.parametrize("e", (True, "2", 1.5))
+    def test_frobenius_exponent_type_checked_before_sign(self, e):
+        with pytest.raises(MonoidError) as error:
+            frobenius(e, self.m)
+        assert error.value.kind == "bad-exponent"
 
 
 class TestSigma:

@@ -177,6 +177,10 @@ class TestValueProtocol:
             (lambda: TropNat(1.5), "not-integer"),
             (lambda: TropNat("2"), "not-integer"),
             (lambda: TropInt(1.5), "not-integer"),
+            # bools are ints to isinstance; as tropz coordinates they used to
+            # take the rational branch of transport
+            (lambda: TropInt(True), "not-integer"),
+            (lambda: TropNat(False), "not-integer"),
             (lambda: PosRational(-2), "not-positive"),
         ),
     )
