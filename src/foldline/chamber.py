@@ -125,6 +125,12 @@ def _require_simply_laced(datum: CartanDatum) -> None:
         )
 
 
+# Most words one braid path search may visit. Every word of A4 (768) and
+# D4 (2,316) fits, so every pair there answers; a far pair in A5 or D5
+# ends in kind limit in about a second instead of minutes and gigabytes.
+BFS_WORD_LIMIT = 20_000
+
+
 def _bfs_path(
     datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]
 ) -> tuple[tuple[int, int], ...]:
@@ -135,6 +141,10 @@ def _bfs_path(
     seen = {start}
     queue = deque([start])
     while queue:
+        if len(seen) > BFS_WORD_LIMIT:
+            raise WordError(
+                "limit", f"the braid path search visited more than {BFS_WORD_LIMIT} words"
+            )
         current = queue.popleft()
         for letters, k, r in sorted(_neighbor_letters(datum, current)):
             if letters in seen:

@@ -20,6 +20,10 @@ base word (:func:`folded_canonical`).  Reversal commutes with unfolding
 (a reversed filling is again a filling), so the last coordinate at a
 folded word is the first coordinate of the reversed folded word.
 
+A bounded cache validates each folded word, its default unfolding and its
+block layout once.  One block rule, spread and read back, serves semifield
+values and the raw tropical ints of :func:`foldline.monoid.folded_mul`.
+
 For the rank-two folded datum with pairing matrix
 ((2,-2),(-2,4)) the full transition has a closed form: with coordinates
 (d, c, b, a) on the word (2,1,2,1),
@@ -48,7 +52,7 @@ from .chamber import DecoratedWord, canonical, transition
 from .errors import FoldingError, FoldlineError
 from .exprs import parse_value
 from .semifield import SemifieldValue, SymbolicSemifield, TropInt
-from .weyl import base_word, orbit_longest, orbit_reduced_words, word_for_w0
+from .weyl import Word, base_word, orbit_longest, orbit_reduced_words, word_for_w0
 from .weyl import reduced_word_for_w0_starting_with
 
 Filling = tuple[tuple[str, ...], ...]
@@ -63,7 +67,7 @@ class FoldedDecoratedWord:
     coords: tuple[SemifieldValue, ...]
 
     def __post_init__(self):
-        word_for_w0(self.fold.folded, self.letters)
+        _unfolding(self.fold, self.letters)
         if len(self.coords) != len(self.letters):
             raise FoldingError(
                 "coords-length",
@@ -108,24 +112,63 @@ def block_epsilons(orbit_word: Sequence[str]) -> tuple[tuple[int, ...], int]:
     return counts, max(counts)
 
 
+def _blocks(fd: FoldedDatum, filling: Filling) -> tuple[Word, tuple]:
+    """The unfolded source word of a filling and its block layout: per
+    block, which letters carry the 2-fold sum of the folded coordinate, and
+    the position the coordinate is read back from (maximal epsilon)."""
+    word = word_for_w0(fd.source, [i for orbit_word in filling for i in orbit_word])
+    layout = []
+    for orbit_word in filling:
+        eps_each, eps_max = block_epsilons(orbit_word)
+        # the only ratio that occurs is eps_max/eps in {1, 2}
+        layout.append((tuple(eps != eps_max for eps in eps_each), eps_each.index(eps_max)))
+    return word, tuple(layout)
+
+
+# A fixed bound, as for chamber._program: one entry per (folded datum, word).
+_UNFOLDING_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_UNFOLDING_CACHE_SIZE)
+def _unfolding(fd: FoldedDatum, letters: tuple[str, ...]) -> tuple[Word, Word, tuple]:
+    """The validated folded word, its default unfolding and its block layout."""
+    folded = word_for_w0(fd.folded, letters)
+    return (folded, *_blocks(fd, default_filling(fd, folded.letters)))
+
+
+def _spread(value, block) -> list:
+    """A folded coordinate over its block, doubled where the block says.
+    A plain int is tropical, as in chamber.transport: its 2-fold sum is itself."""
+    doubled, _ = block
+    twice = 2 * value if type(value) is not int and True in doubled else value
+    return [twice if double else value for double in doubled]
+
+
+def _read_blocks(coords: Sequence, layout) -> list:
+    """One value per block; not-sigma-fixed unless each block is its value spread."""
+    values, offset = [], 0
+    for block in layout:
+        doubled, read_at = block
+        entries = coords[offset : offset + len(doubled)]
+        offset += len(doubled)
+        if any(x != y for x, y in zip(entries, _spread(entries[read_at], block))):
+            raise FoldingError("not-sigma-fixed", "can only fold sigma-fixed components")
+        values.append(entries[read_at])
+    return values
+
+
 def unfold(
     fdw: FoldedDecoratedWord, filling: Optional[Filling] = None
 ) -> DecoratedWord:
     """Expand a folded decorated word into the simply laced source datum."""
     fd = fdw.fold
     if filling is None:
-        filling = default_filling(fd, fdw.letters)
+        _, word, layout = _unfolding(fd, fdw.letters)
     else:
         validate_filling(fd, fdw.letters, filling)
-    letters: list[str] = []
-    coords: list[SemifieldValue] = []
-    for orbit_word, value in zip(filling, fdw.coords):
-        eps_each, eps_max = block_epsilons(orbit_word)
-        letters.extend(orbit_word)
-        for eps in eps_each:
-            # the only ratio that occurs is eps_max/eps in {1, 2}
-            coords.append(value if eps == eps_max else 2 * value)
-    return DecoratedWord(word_for_w0(fd.source, tuple(letters)), tuple(coords))
+        word, layout = _blocks(fd, filling)
+    coords = [c for value, block in zip(fdw.coords, layout) for c in _spread(value, block)]
+    return DecoratedWord(word, tuple(coords))
 
 
 def s_map(fdw: FoldedDecoratedWord, filling: Optional[Filling] = None) -> DecoratedWord:
@@ -157,26 +200,11 @@ def fold_coordinates(
     every sigma-fixed component has it, so one transition does the work of
     both.
     """
-    letters = word_for_w0(fd.folded, letters).letters
+    folded, word, layout = _unfolding(fd, tuple(letters))
     if dw.datum != fd.source:
         raise FoldingError("datum-mismatch", "decorated word belongs to a different datum")
-    filling = default_filling(fd, letters)
-    concat = tuple(i for orbit_word in filling for i in orbit_word)
-    unfolded = transition(dw, word_for_w0(fd.source, concat))
-    coords: list[SemifieldValue] = []
-    offset = 0
-    for orbit_word in filling:
-        eps_each, eps_max = block_epsilons(orbit_word)
-        block = unfolded.coords[offset : offset + len(orbit_word)]
-        offset += len(orbit_word)
-        read_at = eps_each.index(eps_max)
-        value = block[read_at]
-        for entry, eps in zip(block, eps_each):
-            expected = value if eps == eps_max else 2 * value
-            if entry != expected:
-                raise FoldingError("not-sigma-fixed", "can only fold sigma-fixed components")
-        coords.append(value)
-    return FoldedDecoratedWord(fd, letters, tuple(coords))
+    coords = _read_blocks(transition(dw, word).coords, layout)
+    return FoldedDecoratedWord(fd, folded.letters, tuple(coords))
 
 
 def folded_transition(

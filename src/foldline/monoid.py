@@ -26,11 +26,13 @@ r_i(m) = l_i(reverse(m)).
 
 The crystal-operator structure is recovered from the monoid action: the
 string length l_i is the least n with xi_i^n m = m (equivalently the first
-coordinate at an i-first word), lower_to_zero is xi_i^0, and raise_to(n)
-resets the first coordinate, giving mutually inverse bijections between
-the l_i = 0 and l_i = n fibers.  The exponent-scaling endomorphisms
+coordinate at an i-first word, which the scans probe first, as generator
+actions, before doubling and bisection), lower_to_zero is xi_i^0, and
+raise_to(n) resets the first coordinate, giving mutually inverse bijections
+between the l_i = 0 and l_i = n fibers.  The exponent-scaling endomorphisms
 m -> (coordinates times e) are multiplicative and commute with diagram
-automorphisms.
+automorphisms.  :func:`folded_mul` multiplies sigma-fixed elements on raw
+ints at the cached unfolded word of :mod:`foldline.folding`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterable, Sequence
 from . import chamber, folding
 from .cartan import CartanDatum, DiagramAutomorphism, FoldedDatum
 from .chamber import DecoratedWord
-from .errors import MonoidError
+from .errors import FoldingError, MonoidError
 from .semifield import TropInt, TropNat
 from .weyl import Word, base_word, reduced_word_for_w0_starting_with, word_for_w0
 
@@ -171,23 +173,24 @@ def folded_mul(
     """Product of two sigma-fixed elements in folded coordinates.
 
     Both inputs are natural coordinate vectors on the given folded word;
-    they are unfolded, multiplied, checked sigma-fixed, and folded back.
+    they are unfolded, multiplied, checked sigma-fixed, and folded back,
+    all on raw ints at the cached unfolded word.
     """
     letters = tuple(letters)
     elements = []
     for coords in (f1, f2):
-        fdw = folding.folded_decorated(
-            fd, letters, tuple(TropNat(c) for c in coords)
-        )
-        unfolded = folding.unfold(fdw)
-        elements.append(
-            _from_word_coords(fd.source, unfolded.word, [c.n for c in unfolded.coords])
-        )
+        naturals = [TropNat(c).n for c in coords]  # typed errors for non-naturals
+        _, word, layout = folding._unfolding(fd, letters)
+        if len(naturals) != len(layout):
+            raise FoldingError(
+                "coords-length", f"{len(layout)} letters but {len(naturals)} coordinates"
+            )
+        spread = [c for n, block in zip(naturals, layout) for c in folding._spread(n, block)]
+        elements.append(_from_word_coords(fd.source, word, spread))
     product = mul(elements[0], elements[1])
     if not is_sigma_fixed_monoid(product, fd.sigma):
         raise MonoidError("not-sigma-fixed", "product of sigma-fixed elements must be sigma-fixed")
-    back = folding.fold_coordinates(fd, product.decorated(), letters)
-    return tuple(c.n for c in back.coords)
+    return tuple(folding._read_blocks(_coords_at(product, word), layout))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +205,21 @@ def l_coordinate(m: MonoidElement, i: str) -> int:
 def _scan(m: MonoidElement, i: str) -> int:
     """The least n >= 0 with xi_i^n m = m, which holds exactly when n >= l_i.
 
-    Doubling from n = 0 finds a fixing exponent, and bisection then narrows
-    it down, so the search costs O(log l_i) generator actions.  One past the
-    largest coordinate at an i-first word dominates l_i and bounds the search.
+    The first coordinate c_1 at an i-first word is l_i, so probing c_1 and
+    c_1 - 1 settles it in at most two generator actions.  Should that guess
+    be wrong, doubling from n = 0 and bisection find the least fixing
+    exponent in O(log l_i) actions; every probe is an action either way.
+    One past the largest coordinate at the i-first word dominates l_i and
+    bounds the search.
     """
 
     def fixes(n: int) -> bool:
         return left_mul_gen(MonoidGenerator(i, n), m) == m
 
-    bound = max(_coords_at(m, reduced_word_for_w0_starting_with(m.datum, i))) + 1
+    coords = _coords_at(m, reduced_word_for_w0_starting_with(m.datum, i))
+    guess, bound = coords[0], max(coords) + 1
+    if fixes(guess) and (guess == 0 or not fixes(guess - 1)):
+        return guess
     low, high = -1, 0  # fixes(low) is false; fixes(high) is the next test
     while not fixes(high):
         if high >= bound:

@@ -1,12 +1,14 @@
 """Decorated words, elementary moves, transitions, component coordinates."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from foldline.cartan import builtin
 from foldline.chamber import (
+    BFS_WORD_LIMIT,
     apply_move,
     canonical,
     decorated,
@@ -19,7 +21,7 @@ from foldline.chamber import (
 )
 from foldline.errors import WordError
 from foldline.semifield import RATIONALS, TROP_INT, TROP_NAT, SymbolicSemifield
-from foldline.weyl import braid_neighbors, enumerate_reduced_words, word_for_w0
+from foldline.weyl import base_word, braid_neighbors, enumerate_reduced_words, word_for_w0
 
 A2, _ = builtin("A2")
 A3, _ = builtin("A3")
@@ -103,6 +105,21 @@ class TestTransition:
         for k, r in move_path(A2, dw.word.letters, word.letters):
             trace.append(apply_move(trace[-1], k, r))
         assert len(trace) == 2 and trace[-1] == transition(dw, word)
+
+    def test_path_search_past_the_word_limit(self):
+        """A far A5 pair ends in kind limit instead of a search through most
+        of A5's words."""
+        a5, _ = builtin("A5")
+        largest = ("5", "4", "5", "3", "4", "5", "2", "3", "4", "5", "1", "2", "3", "4", "5")
+        start = time.perf_counter()
+        with pytest.raises(WordError) as error:
+            move_path(a5, base_word(a5).letters, largest)
+        assert error.value.kind == "limit"
+        assert time.perf_counter() - start < 10.0
+
+    def test_every_d4_pair_fits_under_the_word_limit(self):
+        d4, _ = builtin("D4+triality")
+        assert len(enumerate_reduced_words(d4).vertices) < BFS_WORD_LIMIT
 
     def test_non_simply_laced_rejected(self):
         b2, _ = builtin("B:n=2")

@@ -366,7 +366,8 @@ class TestMalformedNumbers:
 
 
 class TestLimits:
-    """Inputs past a fixed size answer with kind limit in under a second."""
+    """Inputs past a fixed size answer with kind limit in under a second, a
+    braid path search past its word limit in a few seconds."""
 
     def run_limited(self, capsys, *argv):
         start = time.perf_counter()
@@ -389,6 +390,16 @@ class TestLimits:
         dot = doc["payload"]["dot"]
         assert code == 0
         assert dot.count("[label=") - dot.count("->") == 4**6
+
+    def test_braid_path_search_past_the_word_limit(self, capsys):
+        # the first D5 path search visits more than BFS_WORD_LIMIT words;
+        # unbounded, this call ran for more than a minute
+        start = time.perf_counter()
+        code, doc = run_json(
+            capsys, "monoid", "crystal-graph", "--datum", "Dstyle:n=4", "--bound", "1"
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (code, doc["kind"]) == (1, "limit")
 
     @pytest.mark.parametrize(
         "power",

@@ -23,6 +23,7 @@ from foldline.folding import (
     b2_closed_form,
     b2_tropical,
     compare_models,
+    default_filling,
     fold_coordinates,
     folded_decorated,
     folded_transition,
@@ -36,8 +37,8 @@ from foldline.folding import (
     verify_chain,
     verify_chain_data,
 )
-from foldline.semifield import RATIONALS, TROP_INT, TROP_NAT, SymbolicSemifield
-from foldline.weyl import base_word
+from foldline.semifield import RATIONALS, TROP_INT, TROP_NAT, SymbolicSemifield, sym_equal
+from foldline.weyl import base_word, enumerate_reduced_words
 
 R = RATIONALS.value
 T = TROP_INT.from_int
@@ -63,14 +64,41 @@ class TestUnfold:
         d, c, b, a = coords
         assert list(unfolded.coords) == [d, d, c, b, b, a]
 
-    def test_a4_source_doubles_the_joined_orbit(self):
-        coords, env = sym_coords(("a", "b", "c", "d"))
+    @staticmethod
+    def check_a4_doubling(coords):
         a, b, c, d = coords
         fdw = folded_decorated(FD_A4, GOAL, coords)
         unfolded = unfold(fdw)
         assert unfolded.word.letters == ("1", "4", "2", "3", "2", "1", "4", "2", "3", "2")
         expected = [a, a, b, b + b, b, c, c, d, d + d, d]
         assert all(x == y for x, y in zip(unfolded.coords, expected))
+
+    def test_a4_source_doubles_the_joined_orbit(self):
+        coords, env = sym_coords(("a", "b", "c", "d"))
+        self.check_a4_doubling(coords)
+
+    def test_a4_source_doubles_the_joined_orbit_in_rat(self):
+        self.check_a4_doubling(tuple(R(Fraction(n, 7)) for n in (1, 2, 3, 4)))
+
+    @pytest.mark.parametrize("name", ("a3", "a4", "d4"))
+    @pytest.mark.parametrize("model", ("tropz", "rat", "sym"))
+    def test_default_unfolding_matches_an_explicit_default_filling(self, name, model):
+        fd = standard_folding(name)
+        rng = random.Random(37)
+        sym = SymbolicSemifield(("a", "b", "c", "d", "e", "f"))
+        for letters in enumerate_reduced_words(fd.folded).vertices:
+            if model == "tropz":
+                coords = [T(rng.randint(-5, 5)) for _ in letters]
+            elif model == "rat":
+                coords = [R(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in letters]
+            else:
+                names = sym.vars()
+                coords = [names[x] + names[y] for x, y in zip("abcdef", "fedcba")][: len(letters)]
+            fdw = folded_decorated(fd, letters, coords)
+            cached, explicit = unfold(fdw), unfold(fdw, default_filling(fd, letters))
+            assert cached.word == explicit.word
+            same = sym_equal if model == "sym" else (lambda x, y: x == y)
+            assert all(same(x, y) for x, y in zip(cached.coords, explicit.coords))
 
     def test_identity_sigma_unfold_is_identity(self):
         datum, _ = builtin("A2")
@@ -142,6 +170,25 @@ class TestFoldCoordinates:
         with pytest.raises(FoldingError) as error:
             fold_coordinates(FD_A3, point, START)
         assert error.value.kind == "not-sigma-fixed"
+
+    @pytest.mark.parametrize("name", ("a3", "a4", "d4"))
+    def test_each_perturbed_block_entry_is_rejected(self, name):
+        fd = standard_folding(name)
+        letters = base_word(fd.folded).letters
+        fdw = folded_decorated(fd, letters, [R(n) for n in range(1, len(letters) + 1)])
+        fixed = unfold(fdw)
+        sizes = [len(orbit_word) for orbit_word in default_filling(fd, letters)]
+        block_size = [size for size in sizes for _ in range(size)]
+        for k, size in enumerate(block_size):
+            coords = list(fixed.coords)
+            coords[k] = coords[k] * R(3)
+            perturbed = DecoratedWord(fixed.word, tuple(coords))
+            if size == 1:
+                assert fold_coordinates(fd, perturbed, letters).coords != fdw.coords
+                continue
+            with pytest.raises(FoldingError) as error:
+                fold_coordinates(fd, perturbed, letters)
+            assert error.value.kind == "not-sigma-fixed"
 
     @pytest.mark.parametrize(
         "goal, message",

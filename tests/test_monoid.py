@@ -7,11 +7,12 @@ import pytest
 
 from foldline import chamber
 from foldline.cartan import builtin
-from foldline.errors import MonoidError, SemifieldError
-from foldline.folding import folded_decorated, standard_folding, unfold
+from foldline.errors import DatumError, FoldingError, MonoidError, SemifieldError, WordError
+from foldline.folding import fold_coordinates, folded_decorated, standard_folding, unfold
 from foldline.monoid import (
     MonoidElement,
     MonoidGenerator,
+    _from_word_coords,
     crystal_graph_dot,
     crystal_raise,
     folded_mul,
@@ -27,15 +28,38 @@ from foldline.monoid import (
     r_coordinate,
     r_scan,
     raise_to,
+    reverse,
     right_mul_gen,
     sigma_monoid,
 )
 from foldline.semifield import TropNat
-from foldline.weyl import base_word, reduced_word_for_w0_starting_with
+from foldline.weyl import base_word, enumerate_reduced_words, reduced_word_for_w0_starting_with
 
 A1, _ = builtin("A1")
 A2, _ = builtin("A2")
 A3, _ = builtin("A3")
+START = ("2", "1", "2", "1")
+
+
+D4, _ = builtin("D4+triality")
+
+
+def linear_string_lengths(m, i):
+    """(l_i, r_i) as the least exponents that fix m under the left and right
+    actions, searched linearly below the scan's bound: one past the largest
+    coordinate at an i-first word (of the reversal, for r_i)."""
+
+    def least(act, element):
+        word = reduced_word_for_w0_starting_with(element.datum, i)
+        at_word = chamber.transport(element.datum, element.word.letters, word.letters, element.coords)
+        found = next((n for n in range(max(at_word) + 1) if act(n) == m), None)
+        assert found is not None, "no exponent below the bound fixes m"
+        return found
+
+    return (
+        least(lambda n: left_mul_gen(MonoidGenerator(i, n), m), m),
+        least(lambda n: right_mul_gen(m, MonoidGenerator(i, n)), reverse(m)),
+    )
 
 
 def rand_element(rng, datum, bound=6):
@@ -367,6 +391,46 @@ class TestFoldedMul:
             assert all(isinstance(c, int) and c >= 0 for c in out)
 
 
+def wrapped_folded_mul(fd, f1, f2, letters):
+    """folded_mul through TropNat-decorated words: unfold, multiply, fold back."""
+    elements = []
+    for coords in (f1, f2):
+        unfolded = unfold(folded_decorated(fd, letters, tuple(TropNat(c) for c in coords)))
+        elements.append(
+            _from_word_coords(fd.source, unfolded.word, [c.n for c in unfolded.coords])
+        )
+    back = fold_coordinates(fd, mul(*elements).decorated(), letters)
+    return tuple(c.n for c in back.coords)
+
+
+class TestFoldedMulFastPath:
+    @pytest.mark.parametrize("model", ("a3", "a4", "d4"))
+    @pytest.mark.parametrize("top", (6, 10**6))
+    def test_matches_the_wrapped_route(self, model, top):
+        fd = standard_folding(model)
+        rng = random.Random(31)
+        for letters in enumerate_reduced_words(fd.folded).vertices:
+            for _ in range(4):
+                f1, f2 = (tuple(rng.randint(0, top) for _ in letters) for _ in range(2))
+                assert folded_mul(fd, f1, f2, letters) == wrapped_folded_mul(fd, f1, f2, letters)
+
+    @pytest.mark.parametrize(
+        "f1, letters, error, kind",
+        [
+            ((1, 2, 3), START, FoldingError, "coords-length"),
+            ((1, -2, 3, 4), START, SemifieldError, "tropnat-range"),
+            ((1, True, 3, 4), START, SemifieldError, "not-integer"),
+            ((1, 2, 3, 4), ("1", "1", "2", "2"), WordError, "not-reduced"),
+            ((1, 2, 3, 4), ("2", "1", "2", "9"), DatumError, "unknown-label"),
+            ((1, 2, 3), ("2", "1", "2"), WordError, "not-reduced"),
+        ],
+    )
+    def test_malformed_inputs_keep_their_kinds(self, f1, letters, error, kind):
+        with pytest.raises(error) as raised:
+            folded_mul(standard_folding("a3"), f1, (0, 0, 0, 0), letters)
+        assert raised.value.kind == kind
+
+
 class TestFrobenius:
     def test_scaling_example(self):
         m = normal_form(A2, ("1", "2", "1"), (1, 2, 3))
@@ -435,13 +499,50 @@ class TestStringLengths:
             for _ in range(15):
                 m = rand_element(rng, datum, bound=9)
                 i = rng.choice(datum.labels)
-                least_left = next(
-                    n for n in itertools.count() if left_mul_gen(MonoidGenerator(i, n), m) == m
-                )
-                least_right = next(
-                    n for n in itertools.count() if right_mul_gen(m, MonoidGenerator(i, n)) == m
-                )
-                assert (l_scan(m, i), r_scan(m, i)) == (least_left, least_right)
+                assert (l_scan(m, i), r_scan(m, i)) == linear_string_lengths(m, i)
+
+    @pytest.mark.parametrize("shift", (-3, -1, 1, 3))
+    def test_scan_survives_a_wrong_guess(self, shift, monkeypatch):
+        """Every probe is a real action, so a wrong first guess still ends
+        at the least fixing exponent."""
+        from foldline import monoid
+
+        original = monoid._coords_at
+
+        def misread(m, word):
+            coords = original(m, word)
+            top = max(coords)
+            coords[0] = max(0, coords[0] + shift)
+            return coords + [top]  # the bound still dominates l_i
+
+        monkeypatch.setattr(monoid, "_coords_at", misread)
+        rng = random.Random(19)
+        for datum in (A2, A3, D4):
+            for _ in range(6):
+                m = rand_element(rng, datum, bound=9)
+                i = rng.choice(datum.labels)
+                assert (l_scan(m, i), r_scan(m, i)) == linear_string_lengths(m, i)
+
+    def test_scan_with_a_right_guess_makes_two_actions(self, monkeypatch):
+        from foldline import monoid
+
+        attempts = []
+        original = monoid.left_mul_gen
+
+        def counting(gen, m):
+            attempts.append(gen.n)
+            return original(gen, m)
+
+        monkeypatch.setattr(monoid, "left_mul_gen", counting)
+        rng = random.Random(23)
+        for datum in (A2, A3, D4):
+            for _ in range(4):
+                m = rand_element(rng, datum, bound=9)
+                for i in datum.labels:
+                    for scan, read in ((l_scan, l_coordinate), (r_scan, r_coordinate)):
+                        attempts.clear()
+                        assert scan(m, i) == read(m, i)
+                        assert 1 <= len(attempts) <= 2
 
     def test_scan_attempts_are_logarithmic(self, monkeypatch):
         """r_scan acts on the reversal from the left; count those actions."""
