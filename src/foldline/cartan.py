@@ -34,27 +34,6 @@ def label_key(label: str) -> tuple[int, str]:
     return (len(label), label)
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 @dataclass(frozen=True)
 class CartanDatum:
     """A validated Cartan datum: ordered labels plus the pairing matrix."""
@@ -151,13 +130,21 @@ def validate_datum(labels: Sequence[str], pairing: Sequence[Sequence[int]]) -> C
                     "non-integral",
                     f"2({labels[a]}.{labels[b]})/({labels[a]}.{labels[a]}) is not an integer",
                 )
-    for k in range(1, n + 1):
-        minor = _det([[Fraction(matrix[a][b]) for b in range(k)] for a in range(k)])
+    # Fraction-free (Bareiss) elimination: each pivot is the leading
+    # principal minor of its order, and every division is exact.
+    m = [list(row) for row in matrix]
+    previous = 1
+    for k in range(n):
+        minor = m[k][k]
         if minor <= 0:
             raise DatumError(
                 "not-positive-definite",
-                f"leading principal minor of order {k} is {minor}",
+                f"leading principal minor of order {k + 1} is {minor}",
             )
+        for a in range(k + 1, n):
+            for b in range(k + 1, n):
+                m[a][b] = (m[a][b] * minor - m[a][k] * m[k][b]) // previous
+        previous = minor
     simply = all(
         matrix[a][a] == 2 and (a == b or matrix[a][b] in (0, -1))
         for a in range(n)

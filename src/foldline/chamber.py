@@ -26,9 +26,12 @@ first coordinate of the reversed decorated word at an i-first word, and
 :func:`rho_coord` is read that way.
 
 Transition paths are found by breadth-first search in the braid-move graph
-with lexicographically smallest neighbors first.  Each path is checked move
-by move once and compiled into a flat program of ints (``k0`` for a 2-move
-at 0-based position k0, ``~k0`` for a 3-move), kept in a bounded cache per
+with lexicographically smallest neighbors first.  The move rule is
+``weyl._braid_move``, shared by the search and by the checks here; the
+search reads each word's neighbours pre-sorted from the bounded table
+``weyl._neighbor_letters``.  Each path is checked move by move once and
+compiled into a flat program of ints (``k0`` for a 2-move at 0-based
+position k0, ``~k0`` for a 3-move), kept in a bounded cache per
 (datum, start, goal).  :func:`transport` runs a program over a list in one
 loop: plain ints with (min, +, -) for the tropical models, the values' own
 ``+ * /`` otherwise.  :func:`transition` validates once on entry and builds
@@ -46,7 +49,7 @@ from typing import Sequence
 from .cartan import CartanDatum, DiagramAutomorphism
 from .errors import WordError
 from .semifield import SemifieldValue, TropInt
-from .weyl import Word, _neighbor_letters, base_word, word_for_w0
+from .weyl import Word, _braid_move, _neighbor_letters, base_word, word_for_w0
 from .weyl import reduced_word_for_w0_starting_with
 
 
@@ -83,28 +86,20 @@ def decorated(datum: CartanDatum, letters: Sequence[str], coords) -> DecoratedWo
 
 
 def _check_move(datum: CartanDatum, letters: tuple[str, ...], k: int, r: int):
-    """Validate the braid move (k, r) on letters; returns its two letters p, q."""
+    """Validate the braid move (k, r) on letters; returns the letters after it."""
     if r not in (2, 3):
         raise WordError("invalid-move", f"elementary moves have r in {{2, 3}}, got {r}")
     if k < 1 or k + r - 1 > len(letters):
         raise WordError("invalid-move", f"move ({k}, {r}) does not fit the word")
-    k0 = k - 1
-    p, q = letters[k0], letters[k0 + 1]
-    segment = letters[k0 : k0 + r]
-    if p == q or segment != tuple(p if t % 2 == 0 else q for t in range(r)):
-        raise WordError("invalid-move", f"segment at ({k}, {r}) is not alternating")
-    dot = datum.dot(p, q)
-    if r == 2 and dot != 0:
-        raise WordError("invalid-move", f"nodes {p}, {q} are not orthogonal")
-    if r == 3 and dot != -1:
-        raise WordError("invalid-move", f"nodes {p}, {q} are not joined simply")
-    return p, q
+    move = _braid_move(datum, letters, k - 1)
+    if move is None or move[0] != r:
+        raise WordError("invalid-move", f"no braid move of length {r} at position {k}")
+    return move[1]
 
 
 def apply_move(dw: DecoratedWord, k: int, r: int) -> DecoratedWord:
     """Apply the braid move at 1-based position k with length r in {2, 3}."""
-    letters = dw.word.letters
-    p, q = _check_move(dw.datum, letters, k, r)
+    new_letters = _check_move(dw.datum, dw.word.letters, k, r)
     k0 = k - 1
     if r == 2:
         moved = (dw.coords[k0 + 1], dw.coords[k0])
@@ -112,7 +107,6 @@ def apply_move(dw: DecoratedWord, k: int, r: int) -> DecoratedWord:
         x, y, z = dw.coords[k0 : k0 + 3]
         s = x + z
         moved = (y * z / s, s, x * y / s)
-    new_letters = letters[:k0] + (q, p, q)[:r] + letters[k0 + r :]
     new_coords = dw.coords[:k0] + moved + dw.coords[k0 + r :]
     return DecoratedWord(Word(dw.datum, new_letters), new_coords)
 
@@ -146,7 +140,7 @@ def _bfs_path(
                 "limit", f"the braid path search visited more than {BFS_WORD_LIMIT} words"
             )
         current = queue.popleft()
-        for letters, k, r in sorted(_neighbor_letters(datum, current)):
+        for letters, k, r in _neighbor_letters(datum, current):
             if letters in seen:
                 continue
             seen.add(letters)
@@ -178,10 +172,8 @@ def _program(
     letters = start
     program = []
     for k, r in _bfs_path(datum, start, goal):
-        p, q = _check_move(datum, letters, k, r)
-        k0 = k - 1
-        letters = letters[:k0] + (q, p, q)[:r] + letters[k0 + r :]
-        program.append(k0 if r == 2 else ~k0)
+        letters = _check_move(datum, letters, k, r)
+        program.append(k - 1 if r == 2 else ~(k - 1))
     if letters != goal:
         raise WordError("invalid-move", "the move path does not end at the goal word")
     return tuple(program)

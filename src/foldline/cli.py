@@ -21,7 +21,8 @@ from .cartan import builtin, fold, load_datum_file
 from .errors import FoldlineError, SemifieldError, UsageError
 from .exprs import parse_value
 from .semifield import SemifieldValue, TropInt, model_by_name
-from .weyl import base_word, braid_neighbors, enumerate_reduced_words, word_for_w0
+from .weyl import DEFAULT_ENUMERATION_CAP, base_word, braid_neighbors, enumerate_reduced_words
+from .weyl import word_for_w0
 
 
 def _split_csv(text: str) -> tuple[str, ...]:
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     words_sub = words.add_subparsers(dest="action", required=True)
     p = words_sub.add_parser("enumerate")
     add_datum_flags(p)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--dot", action="store_true", help="emit the word graph as DOT")
     p.set_defaults(run=_cmd_words_enumerate)
     p = words_sub.add_parser("neighbors")

@@ -13,7 +13,10 @@ Reduced words for w_0 form a graph whose edges are braid moves: replace an
 alternating segment (p, p', p, ...) of length h(p, p') by the segment
 starting with p'.  By the Iwahori-Tits theorem this graph is connected;
 construction asserts it.  Positions in moves are 1-based, matching the
-usual notation for places k, k+1, ..., k+r-1 in a word.
+usual notation for places k, k+1, ..., k+r-1 in a word.  The move rule is
+defined once, in ``_braid_move``: :func:`braid_neighbors`, the move checks
+in :mod:`foldline.chamber` and its path search's bounded neighbour table
+``_neighbor_letters``, pre-sorted in visiting order, all use it.
 """
 
 from __future__ import annotations
@@ -195,40 +198,46 @@ def _h_table(datum: CartanDatum) -> dict[tuple[str, str], int]:
     }
 
 
+def _braid_move(datum: CartanDatum, letters: tuple[str, ...], k0: int):
+    """The braid move on the segment starting at 0-based position k0, as
+    (r, letters after the move), or None when no move starts there."""
+    p, q = letters[k0], letters[k0 + 1]
+    if p == q:
+        return None
+    r = _h_table(datum).get((p, q))
+    if r is None:
+        r = h_value(datum, p, q)  # raises the typed unknown-label error
+    half, odd = divmod(r, 2)
+    if letters[k0 : k0 + r] != (p, q) * half + (p,) * odd:
+        return None  # not alternating, or runs past the end of the word
+    return r, letters[:k0] + (q, p) * half + (q,) * odd + letters[k0 + r :]
+
+
 def braid_neighbors(word: Word) -> list[tuple[Word, int, int]]:
     """All words one braid move away, as (word, position k, move length r).
 
     Positions are 1-based; the changed segment is k..k+r-1.
     """
-    datum = word.datum
-    letters = word.letters
-    h = _h_table(datum)
     out = []
-    n = len(letters)
-    for k0 in range(n - 1):
-        p, q = letters[k0], letters[k0 + 1]
-        if p == q:
-            continue
-        r = h.get((p, q))
-        if r is None:
-            r = h_value(datum, p, q)  # raises the typed unknown-label error
-        if k0 + r > n:
-            continue
-        segment = letters[k0 : k0 + r]
-        expected = tuple(p if t % 2 == 0 else q for t in range(r))
-        if segment != expected:
-            continue
-        swapped = tuple(q if t % 2 == 0 else p for t in range(r))
-        new_letters = letters[:k0] + swapped + letters[k0 + r :]
-        out.append((Word(datum, new_letters), k0 + 1, r))
+    for k0 in range(len(word.letters) - 1):
+        move = _braid_move(word.datum, word.letters, k0)
+        if move is not None:
+            r, letters = move
+            out.append((Word(word.datum, letters), k0 + 1, r))
     return out
 
 
-@lru_cache(maxsize=None)
+# Holds every word of A4 (768) and D4 (2,316) at once, so repeated path
+# searches there stay warm; a search in a larger type cannot grow it further.
+_NEIGHBOR_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_NEIGHBOR_CACHE_SIZE)
 def _neighbor_letters(datum: CartanDatum, letters: tuple[str, ...]):
-    return tuple(
-        (w.letters, k, r) for w, k, r in braid_neighbors(Word(datum, letters))
-    )
+    """The braid neighbours of a word as sorted (letters, k, r) triples:
+    the order in which the path search visits them."""
+    moves = ((k0 + 1, _braid_move(datum, letters, k0)) for k0 in range(len(letters) - 1))
+    return tuple(sorted((move[1], k, move[0]) for k, move in moves if move is not None))
 
 
 def _count_words(datum: CartanDatum, rho: tuple[int, ...], memo: dict, cap: int) -> int:

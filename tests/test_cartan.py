@@ -2,8 +2,10 @@
 
 import os
 import pickle
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +19,24 @@ from foldline.cartan import (
     validate_datum,
 )
 from foldline.errors import DatumError
+
+
+def reference_det(matrix):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
 
 
 class TestValidation:
@@ -44,6 +64,40 @@ class TestValidation:
         with pytest.raises(DatumError) as error:
             validate_datum(["1", "2"], pairing)
         assert error.value.kind == kind
+
+    @pytest.mark.parametrize(
+        "pairing, message",
+        [
+            ([[2, -3], [-3, 2]], "leading principal minor of order 2 is -5"),
+            ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "leading principal minor of order 3 is 0"),
+            ([[2, -1, 0], [-1, 2, -2], [0, -2, 2]], "leading principal minor of order 3 is -2"),
+        ],
+    )
+    def test_first_non_positive_minor_is_reported(self, pairing, message):
+        with pytest.raises(DatumError) as error:
+            validate_datum([str(a) for a in range(len(pairing))], pairing)
+        assert (error.value.kind, str(error.value)) == ("not-positive-definite", message)
+
+    def test_minors_match_determinants(self):
+        """Seeded symmetric pairings with diagonal 2: the elimination accepts
+        or names the same first non-positive leading minor as determinants
+        of the leading blocks do."""
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            pairing = [[2] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(a + 1, n):
+                    pairing[a][b] = pairing[b][a] = rng.choice((0, 0, -1, -1, -2))
+            minors = [reference_det([row[:k] for row in pairing[:k]]) for k in range(1, n + 1)]
+            bad = next((k for k, m in enumerate(minors, 1) if m <= 0), None)
+            labels = [str(a) for a in range(n)]
+            if bad is None:
+                validate_datum(labels, pairing)
+                continue
+            with pytest.raises(DatumError) as error:
+                validate_datum(labels, pairing)
+            assert str(error.value) == f"leading principal minor of order {bad} is {minors[bad - 1]}"
 
     def test_reducible_flag(self):
         datum = validate_datum(["1", "2"], [[2, 0], [0, 2]])

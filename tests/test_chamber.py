@@ -1,12 +1,16 @@
 """Decorated words, elementary moves, transitions, component coordinates."""
 
+import itertools
+import json
 import random
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
-from foldline.cartan import builtin
+from foldline import weyl
+from foldline.cartan import builtin, load_datum_file
 from foldline.chamber import (
     BFS_WORD_LIMIT,
     apply_move,
@@ -67,13 +71,53 @@ class TestMoves:
             expected = (y + z - min(x, z), min(x, z), x + y - min(x, z))
             assert tuple(c.n for c in moved.coords) == expected
 
-    def test_invalid_move(self):
-        dw = decorated(A2, ("1", "2", "1"), (T(0), T(0), T(0)))
+    @pytest.mark.parametrize(
+        "k, r, message",
+        [
+            (1, 4, "elementary moves have r in {2, 3}, got 4"),
+            (5, 3, "move (5, 3) does not fit the word"),
+            (2, 3, "no braid move of length 3 at position 2"),  # 2,1,3 does not alternate
+            (1, 2, "no braid move of length 2 at position 1"),  # 1, 2 are joined: h = 3
+        ],
+    )
+    def test_invalid_move(self, k, r, message):
+        dw = decorated(A3, ("1", "2", "1", "3", "2", "1"), tuple(map(T, range(6))))
         with pytest.raises(WordError) as error:
-            apply_move(dw, 2, 3)
-        assert error.value.kind == "invalid-move"
-        with pytest.raises(WordError):
-            apply_move(dw, 1, 2)  # nodes 1, 2 are joined, not orthogonal
+            apply_move(dw, k, r)
+        assert (error.value.kind, str(error.value)) == ("invalid-move", message)
+
+    def test_scaled_a2_pairing_takes_the_a2_move(self, tmp_path):
+        """The pairing ((4, -2), (-2, 4)) has h = 3, so the braid-move rule
+        gives it the A2 3-move; only transitions require a simply laced datum."""
+        path = tmp_path / "a2-scaled.json"
+        path.write_text(json.dumps({"labels": ["1", "2"], "pairing": [[4, -2], [-2, 4]]}))
+        datum, _ = load_datum_file(str(path))
+        assert not datum.simply_laced
+        coords = (R(2), R(3), R(5))
+        moved = apply_move(decorated(datum, ("1", "2", "1"), coords), 1, 3)
+        expected = apply_move(decorated(A2, ("1", "2", "1"), coords), 1, 3)
+        assert (moved.word.letters, moved.coords) == (expected.word.letters, expected.coords)
+
+
+def reference_path(datum, start, goal, neighbors):
+    """BFS from start to goal over braid_neighbors, sorted on every visit;
+    ``neighbors`` memoizes the unsorted lists."""
+    parents, queue = {start: None}, deque([start])
+    while goal not in parents:
+        current = queue.popleft()
+        if current not in neighbors:
+            neighbors[current] = [
+                (w.letters, k, r) for w, k, r in braid_neighbors(word_for_w0(datum, current))
+            ]
+        for letters, k, r in sorted(neighbors[current]):
+            if letters not in parents:
+                parents[letters] = (current, k, r)
+                queue.append(letters)
+    path = []
+    while parents[goal] is not None:
+        goal, k, r = parents[goal]
+        path.append((k, r))
+    return tuple(reversed(path))
 
 
 class TestTransition:
@@ -116,6 +160,25 @@ class TestTransition:
             move_path(a5, base_word(a5).letters, largest)
         assert error.value.kind == "limit"
         assert time.perf_counter() - start < 10.0
+        info = weyl._neighbor_letters.cache_info()
+        assert info.maxsize == weyl._NEIGHBOR_CACHE_SIZE
+        assert info.currsize <= weyl._NEIGHBOR_CACHE_SIZE
+
+    @pytest.mark.parametrize("name", ["A3", "A4", "D4+triality"])
+    def test_paths_match_the_reference_search(self, name):
+        """move_path finds the path of a BFS that sorts each word's braid
+        neighbours when it visits the word: every A3 pair, 100 seeded pairs
+        in A4 and in D4."""
+        datum, _ = builtin(name)
+        words = enumerate_reduced_words(datum).vertices
+        if name == "A3":
+            pairs = itertools.product(words, repeat=2)
+        else:
+            rng = random.Random(f"paths:{name}")
+            pairs = [tuple(rng.sample(words, 2)) for _ in range(100)]
+        neighbors = {}
+        for start, goal in pairs:
+            assert move_path(datum, start, goal) == reference_path(datum, start, goal, neighbors)
 
     def test_every_d4_pair_fits_under_the_word_limit(self):
         d4, _ = builtin("D4+triality")

@@ -1,10 +1,14 @@
 """Semifield models: worked examples, algebra laws, tropicalization."""
 
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, strategies as st
 
+from foldline.cartan import builtin
+from foldline.chamber import DecoratedWord, transition
 from foldline.errors import SemifieldError
 from foldline.exprs import TOKEN_LIMIT, parse_value
 from foldline.semifield import (
@@ -20,6 +24,7 @@ from foldline.semifield import (
     TropNat,
     sym_equal,
 )
+from foldline.weyl import enumerate_reduced_words, word_for_w0
 
 SYM = SymbolicSemifield(("x", "y", "z"))
 
@@ -288,6 +293,28 @@ def test_rational_evaluation_homomorphism(tree, a, b, c):
     symbolic = _eval_tree(tree, sym_env, SYM)
     rat_env = {n: RATIONALS.value(v) for n, v in zip(_LEAVES, (a, b, c))}
     assert symbolic.evaluate(rat_env) == _eval_tree(tree, rat_env, RATIONALS)
+
+
+@pytest.mark.parametrize("name, count", [("A3", 40), ("A4", 20), ("D4+triality", 20)])
+def test_sym_transitions_specialise_to_tropz_and_rat(name, count):
+    """A sym transition evaluated at a seeded tropz or rat point equals the
+    transition of that point in its own model."""
+    rng = random.Random(f"specialise:{name}")
+    datum, _ = builtin(name)
+    words = enumerate_reduced_words(datum).vertices
+    names = tuple(f"x{k}" for k in range(len(words[0])))
+    model = SymbolicSemifield(names)
+    for _ in range(count):
+        start, goal = (word_for_w0(datum, letters) for letters in rng.sample(words, 2))
+        image = transition(DecoratedWord(start, tuple(map(model.var, names))), goal)
+        points = (
+            [TROP_INT.from_int(rng.randint(-9, 9)) for _ in names],
+            [RATIONALS.value(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in names],
+        )
+        for point in points:
+            expected = transition(DecoratedWord(start, tuple(point)), goal).coords
+            assignment = dict(zip(names, point))
+            assert tuple(c.evaluate(assignment) for c in image.coords) == expected
 
 
 @given(trees(), trees())

@@ -7,10 +7,6 @@ import foldline
 
 SOURCE = Path(foldline.__file__).parent
 
-# The BFS path-finder's neighbour cache is left unbounded until that
-# path-finder is replaced; a bound would change which braid paths stay warm.
-UNBOUNDED_CACHES = {("weyl.py", "_neighbor_letters")}
-
 
 def _is_lru_cache(decorator):
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
@@ -50,5 +46,5 @@ def test_caches_are_bounded_and_no_assert_guards():
                 for decorator in node.decorator_list:
                     if _is_lru_cache(decorator) and not _finite_maxsize(decorator, constants):
                         unbounded.add((path.name, node.name))
-    assert unbounded == UNBOUNDED_CACHES
+    assert unbounded == set()
     assert asserts == []

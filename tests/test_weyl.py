@@ -6,7 +6,7 @@ import random
 import pytest
 
 from foldline import checks, weyl
-from foldline.cartan import builtin, fold
+from foldline.cartan import builtin, fold, h_value
 from foldline.errors import DatumError, WordError
 from foldline.folding import standard_folding
 from foldline.weyl import (
@@ -130,7 +130,35 @@ class TestEnumeration:
         assert '"(1,3)"' in dot and "1,2,1" in dot
 
 
+def reference_braid_neighbors(datum, letters):
+    """The braid move rule spelled out position by position: (letters, k, r)."""
+    out = []
+    for k0 in range(len(letters) - 1):
+        p, q = letters[k0], letters[k0 + 1]
+        if p == q:
+            continue
+        r = h_value(datum, p, q)
+        if k0 + r > len(letters):
+            continue
+        if letters[k0 : k0 + r] != tuple(p if t % 2 == 0 else q for t in range(r)):
+            continue
+        swapped = tuple(q if t % 2 == 0 else p for t in range(r))
+        out.append((letters[:k0] + swapped + letters[k0 + r :], k0 + 1, r))
+    return out
+
+
 class TestBraidMoves:
+    @pytest.mark.parametrize("name", ["A3", "A4", "D4+triality", "B:n=2", "B:n=3"])
+    def test_neighbors_match_the_reference_rule(self, name):
+        """braid_neighbors keeps the reference order; the path search's
+        table holds the same moves, sorted."""
+        datum, _ = builtin(name)
+        for letters in enumerate_reduced_words(datum).vertices:
+            expected = reference_braid_neighbors(datum, letters)
+            word = word_for_w0(datum, letters)
+            assert [(w.letters, k, r) for w, k, r in braid_neighbors(word)] == expected
+            assert weyl._neighbor_letters(datum, letters) == tuple(sorted(expected))
+
     def test_a2_neighbors(self):
         datum, _ = builtin("A2")
         word = word_for_w0(datum, ("1", "2", "1"))
