@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-
 from hypothesis import given, strategies as st
 
 from foldline.cartan import builtin
