@@ -81,11 +81,9 @@ from .semifield import (
 from .weyl import (
     Word,
     WordGraph,
-    WeylElement,
     base_word,
     braid_neighbors,
     enumerate_reduced_words,
-    longest_element,
     orbit_longest,
     reduced_word_for_w0_starting_with,
     word_for_w0,

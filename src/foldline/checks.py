@@ -242,7 +242,7 @@ def check_monoid_laws(seed: int = 0, trials: int = 200) -> CheckResult:
         a3, _ = builtin("A3")
         failures = {"rel-i": 0, "rel-ii": 0, "rel-iii": 0, "assoc": 0, "word-choice": 0}
 
-        half = trials // 2
+        half = max(1, trials // 2)  # every law is checked at least once
         for datum, joined in ((a2, ("1", "2")), (a3, ("1", "2"))):
             for _ in range(half):
                 m = _random_element(rng, datum)
@@ -426,18 +426,23 @@ def check_filling_independence() -> CheckResult:
     return _timed("filling-independence", run)
 
 
+def _counted(check, default: int):
+    """A registry entry whose count is ``trials``, or ``default`` when None."""
+    return lambda seed, trials: check(seed, default if trials is None else trials)
+
+
 ALL_CHECKS = (
     *(
         (f"chain-{chain_id}", lambda seed, trials, chain_id=chain_id: check_chain(chain_id))
         for chain_id in folding.CHAIN_IDS
     ),
     ("closed-form-models", lambda seed, trials: check_closed_form_models()),
-    ("tropical-b2", lambda seed, trials: check_tropical_b2(seed, trials or 1000)),
+    ("tropical-b2", _counted(check_tropical_b2, 1000)),
     ("path-independence", lambda seed, trials: check_path_independence()),
     ("word-counts", lambda seed, trials: check_word_counts()),
-    ("monoid-laws", lambda seed, trials: check_monoid_laws(seed, trials or 200)),
-    ("frobenius", lambda seed, trials: check_frobenius(seed, trials or 500)),
-    ("crystal", lambda seed, trials: check_crystal(seed, trials or 200)),
+    ("monoid-laws", _counted(check_monoid_laws, 200)),
+    ("frobenius", _counted(check_frobenius, 500)),
+    ("crystal", _counted(check_crystal, 200)),
     ("filling-independence", lambda seed, trials: check_filling_independence()),
 )
 

@@ -217,6 +217,8 @@ _VERIFY_RUNNERS = {
 
 
 def _cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.what == "chain":
         if not args.id:
             raise UsageError("verify chain needs --id")

@@ -28,6 +28,10 @@ EXPONENT_LIMIT = 100
 # in its length, and the longest certificate expression has 25 tokens.
 TOKEN_LIMIT = 1000
 
+# Deepest parenthesis nesting: the certificates nest 2 deep, and 300 levels
+# overflowed the stack of this recursive descent (four frames a level).
+NESTING_LIMIT = 50
+
 _TOKEN = re.compile(r"\s*(\*\*|[()+*/^]|\d+|[A-Za-z_][A-Za-z0-9_]*)")
 
 
@@ -53,6 +57,7 @@ class _Parser:
         self.env = env
         # largest product of nested exponents in the factor being parsed
         self.power = 1
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -101,9 +106,13 @@ class _Parser:
     def atom(self) -> SemifieldValue:
         token = self.take()
         if token == "(":
+            self.depth += 1
+            if self.depth > NESTING_LIMIT:
+                raise SemifieldError("limit", f"parentheses nest deeper than {NESTING_LIMIT}")
             value = self.expr()
             if self.take() != ")":
                 raise SemifieldError("parse", "missing closing parenthesis")
+            self.depth -= 1
             return value
         if token.isdigit():
             return self.model.from_int(int(token))

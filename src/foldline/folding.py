@@ -89,9 +89,7 @@ def folded_decorated(
 
 def default_filling(fd: FoldedDatum, letters: Sequence[str]) -> Filling:
     """The canonical orbit word at every position."""
-    return tuple(
-        orbit_longest(fd.source, fd.orbit_of(eta))[2] for eta in letters
-    )
+    return tuple(orbit_longest(fd.source, fd.orbit_of(eta)) for eta in letters)
 
 
 def validate_filling(fd: FoldedDatum, letters: Sequence[str], filling: Filling) -> None:

@@ -280,6 +280,8 @@ CRYSTAL_NODE_LIMIT = 4096
 
 def crystal_graph_dot(datum: CartanDatum, bound: int) -> str:
     """DOT graph of raising steps from the bottom element, coordinates <= bound."""
+    if bound < 0:
+        raise MonoidError("bad-bound", f"the bound must be >= 0, got {bound}")
     bottom = MonoidElement(datum, (0,) * len(base_word(datum).letters))
     seen = {bottom.coords}
     queue = [bottom]

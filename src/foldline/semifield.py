@@ -225,6 +225,11 @@ TROP_NAT = TropNat.model = Semifield("tropn", TropNat)
 # ---------------------------------------------------------------------------
 # Sparse integer polynomials (support for the symbolic model)
 
+# Most terms in one polynomial.  The G2 fold via D4 peaks at 160 terms and
+# `verify all` at 12; a D4 lambda read of twelve two-term coordinates grew
+# to 190,850 terms in 20 s, and passed this bound 0.7 s in.
+TERM_LIMIT = 20_000
+
 
 class Poly:
     """Sparse integer polynomial in a fixed number of variables.
@@ -244,6 +249,8 @@ class Poly:
 
     def __init__(self, nvars: int, terms: Mapping[tuple, int]):
         clean = {e: c for e, c in terms.items() if c}
+        if len(clean) > TERM_LIMIT:
+            raise SemifieldError("limit", f"a polynomial has more than {TERM_LIMIT} terms")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -337,6 +344,8 @@ class Poly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
+            if len(out) > TERM_LIMIT:  # natural factors: no term cancels later
+                break
         return Poly(self.nvars, out)
 
     def __eq__(self, other):

@@ -1,12 +1,13 @@
 """Weyl group elements, reduced words for the longest element, braid moves.
 
-An element w is stored as the vector w^{-1}(rho) in fundamental-weight
-coordinates, starting from rho = (1, ..., 1).  Each letter s_i acts by a
-rank-one update, so a word of length l costs O(l rank).  rho is regular,
-so the vector determines w: the identity is (1, ..., 1), w_0 is
+An element w is the vector w^{-1}(rho) in fundamental-weight coordinates,
+starting from rho = (1, ..., 1).  Each letter s_i acts by a rank-one
+update (``_apply``), so a word of length l costs O(l rank).  rho is
+regular, so the vector determines w: the identity is (1, ..., 1), w_0 is
 (-1, ..., -1), and the right descents of w are the labels whose entry is
-negative.  Lengths and least reduced words come from walking down the
-descents to rho.  A word of length N = l(w_0) is a reduced word for w_0
+negative.  Least reduced words come from walking down the descents to rho
+(``_greedy_min_word``); from -rho the walk spells the base word, whose
+length is N = l(w_0).  A word of length N is a reduced word for w_0
 exactly when it sends rho to -rho.
 
 Reduced words for w_0 form a graph whose edges are braid moves: replace an
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cartan import CartanDatum, h_value, label_key
 from .errors import WordError
@@ -91,37 +92,6 @@ def _descents(datum: CartanDatum, rho: tuple[int, ...]) -> list[str]:
     return [i for i, x in zip(datum.labels, rho) if x < 0]
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element w as the vector w^{-1}(rho) in fundamental-weight
-    coordinates.  rho is regular, so the vector determines w; the right
-    descents of w are the labels whose entry is negative."""
-
-    datum: CartanDatum
-    rho: tuple[int, ...]
-
-    @classmethod
-    def identity(cls, datum: CartanDatum) -> "WeylElement":
-        return cls(datum, (1,) * datum.rank)
-
-    @classmethod
-    def from_word(cls, datum: CartanDatum, letters: Sequence[str]) -> "WeylElement":
-        return cls(datum, _apply(datum, (1,) * datum.rank, letters))
-
-    def times_simple(self, i: str) -> "WeylElement":
-        return WeylElement(self.datum, _apply(self.datum, self.rho, (i,)))
-
-    def is_identity(self) -> bool:
-        return all(x == 1 for x in self.rho)
-
-    def right_descents(self) -> list[str]:
-        return _descents(self.datum, self.rho)
-
-    def length(self) -> int:
-        # the walk from w^{-1}(rho) spells a reduced word for w^{-1}
-        return len(_greedy_min_word(self.datum, self.rho))
-
-
 def _greedy_min_word(datum: CartanDatum, image: tuple[int, ...]) -> tuple[str, ...]:
     """Lexicographically least reduced word of the element w with w(rho) = image.
 
@@ -143,13 +113,6 @@ def _greedy_min_word(datum: CartanDatum, image: tuple[int, ...]) -> tuple[str, .
     return tuple(letters)
 
 
-@lru_cache(maxsize=64)
-def longest_element(datum: CartanDatum) -> tuple[WeylElement, int]:
-    """w_0 and N = l(w_0): w_0(rho) = -rho."""
-    w0 = WeylElement(datum, (-1,) * datum.rank)
-    return w0, w0.length()
-
-
 def word_for_w0(datum: CartanDatum, letters: Sequence[str]) -> Word:
     """Validate that the letters form a reduced word for w_0.
 
@@ -158,7 +121,7 @@ def word_for_w0(datum: CartanDatum, letters: Sequence[str]) -> Word:
     and w^{-1} = w_0 iff w = w_0.
     """
     letters = tuple(letters)
-    _, n = longest_element(datum)
+    n = len(base_word(datum).letters)
     if len(letters) != n:
         raise WordError(
             "not-reduced", f"expected a word of length {n}, got {len(letters)}"
@@ -170,16 +133,15 @@ def word_for_w0(datum: CartanDatum, letters: Sequence[str]) -> Word:
 
 @lru_cache(maxsize=64)
 def base_word(datum: CartanDatum) -> Word:
-    """The canonical base point: the lexicographically least word for w_0."""
-    w0, _ = longest_element(datum)
-    return Word(datum, _greedy_min_word(datum, w0.rho))  # w_0 is an involution
+    """The canonical base point: the lexicographically least word for w_0,
+    of length N = l(w_0).  w_0(rho) = -rho and w_0 is an involution."""
+    return Word(datum, _greedy_min_word(datum, (-1,) * datum.rank))
 
 
 @lru_cache(maxsize=64)
 def reduced_word_for_w0_starting_with(datum: CartanDatum, i: str) -> Word:
     """A reduced word for w_0 with first letter i (greedy completion)."""
-    w0, _ = longest_element(datum)
-    rest = w0.times_simple(i).rho  # (s_i w_0)(rho) = s_i(-rho)
+    rest = _apply(datum, (-1,) * datum.rank, (i,))  # (s_i w_0)(rho) = s_i(-rho)
     return Word(datum, (i,) + _greedy_min_word(datum, rest))
 
 
@@ -289,21 +251,16 @@ class WordGraph:
         return "\n".join(lines)
 
 
-def enumerate_reduced_words(
-    datum: CartanDatum,
-    element: Optional[WeylElement] = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> WordGraph:
-    """All reduced words of an element (default w_0), with braid edges.
+def enumerate_reduced_words(datum: CartanDatum, cap: int = DEFAULT_ENUMERATION_CAP) -> WordGraph:
+    """All reduced words of w_0, with braid edges.
 
     Depth-first search over length-decreasing suffixes, memoized on the
     vectors of group elements; raises kind ``cap-exceeded`` beyond ``cap``
     words.  The graph is asserted connected.
     """
-    if element is None:
-        element, _ = longest_element(datum)
-    _count_words(datum, element.rho, {}, cap)
-    vertices = tuple(sorted(_collect_words(datum, element.rho, {})))
+    w0 = (-1,) * datum.rank
+    _count_words(datum, w0, {}, cap)
+    vertices = tuple(sorted(_collect_words(datum, w0, {})))
     index = {letters: i for i, letters in enumerate(vertices)}
     edges = set()
     for letters, a in index.items():
@@ -339,34 +296,26 @@ def _assert_connected(graph: WordGraph) -> None:
 
 
 @lru_cache(maxsize=64)
-def orbit_longest(
-    datum: CartanDatum, orbit: tuple[str, ...]
-) -> tuple[WeylElement, int, tuple[str, ...]]:
-    """Longest element of the parabolic subgroup on an orbit, its length,
-    and the canonical reduced word used as the default orbit filling.
+def orbit_longest(datum: CartanDatum, orbit: tuple[str, ...]) -> tuple[str, ...]:
+    """The canonical reduced word of the longest element of the parabolic
+    subgroup on an orbit, used as the default orbit filling.
 
     Supported orbit shapes (the ones a valid folding produces): a single
     node (i); pairwise orthogonal nodes, sorted ascending; a joined pair
     {i, i'} with i.i' = -1, as (i, i', i).
     """
     orbit = tuple(sorted(orbit, key=label_key))
-    if len(orbit) == 1:
-        word = orbit
-    elif all(datum.dot(i, j) == 0 for i in orbit for j in orbit if i != j):
-        word = orbit
-    elif len(orbit) == 2 and datum.dot(orbit[0], orbit[1]) == -1:
-        word = (orbit[0], orbit[1], orbit[0])
-    else:
-        raise WordError(
-            "unsupported-orbit",
-            f"orbit {orbit} is not a singleton, orthogonal set, or joined pair",
-        )
-    element = WeylElement.from_word(datum, word)
-    return element, len(word), word
+    if all(datum.dot(i, j) == 0 for i in orbit for j in orbit if i != j):
+        return orbit  # a single node, or pairwise orthogonal nodes
+    if len(orbit) == 2 and datum.dot(orbit[0], orbit[1]) == -1:
+        return (orbit[0], orbit[1], orbit[0])
+    raise WordError(
+        "unsupported-orbit",
+        f"orbit {orbit} is not a singleton, orthogonal set, or joined pair",
+    )
 
 
 def orbit_reduced_words(datum: CartanDatum, orbit: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     """All reduced words for the orbit longest element (fillings to range over)."""
-    element, _, _ = orbit_longest(datum, orbit)
-    graph = enumerate_reduced_words(datum, element)
-    return graph.vertices
+    element = _apply(datum, (1,) * datum.rank, orbit_longest(datum, orbit))
+    return tuple(sorted(_collect_words(datum, element, {})))

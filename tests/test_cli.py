@@ -5,7 +5,10 @@ import time
 
 import pytest
 
+from foldline.cartan import RANK_LIMIT
 from foldline.cli import main
+from foldline.exprs import NESTING_LIMIT
+from foldline.semifield import TERM_LIMIT
 
 
 def run(capsys, *argv):
@@ -56,6 +59,34 @@ class TestDatum:
         code, doc = run_json(capsys, "datum", "validate", "--builtin", "Z9")
         assert code == 1
         assert doc["kind"] == "unknown-builtin"
+
+    def test_missing_file(self, capsys, tmp_path):
+        code, doc = run_json(capsys, "datum", "validate", "--file", str(tmp_path / "none.json"))
+        assert (code, doc["kind"]) == (1, "no-file")
+
+    @pytest.mark.parametrize("text", ['{"labels": ["1"', "", "\udcff"])
+    def test_malformed_json(self, capsys, tmp_path, text):
+        path = tmp_path / "datum.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code, doc = run_json(capsys, "datum", "validate", "--file", str(path))
+        assert (code, doc["kind"]) == (1, "bad-json")
+
+    @pytest.mark.parametrize(
+        "document, kind",
+        [
+            ({"labels": ["1", "2"], "pairing": [[2, -1], [-1, 2]], "sigma": [1]}, "bad-sigma"),
+            ({"labels": ["1", "2"], "pairing": [[2, -1], [-1, 2]], "sigma": "12"}, "bad-sigma"),
+            ({"labels": 5, "pairing": [[2]]}, "shape"),
+            ({"labels": ["1"], "pairing": 2}, "shape"),
+            ({"labels": ["1", "2"], "pairing": [2, 2]}, "shape"),
+            ([1], "shape"),
+        ],
+    )
+    def test_malformed_document(self, capsys, tmp_path, document, kind):
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(document))
+        code, doc = run_json(capsys, "datum", "validate", "--file", str(path))
+        assert (code, doc["kind"]) == (1, kind)
 
 
 class TestWords:
@@ -275,6 +306,45 @@ class TestVerify:
         assert sorted(reported) == sorted(registry)
         assert run(capsys, "verify", "monoid-laws")[0] == 2  # spellings are unchanged
 
+    @pytest.mark.parametrize(
+        "check, trials",
+        [("tropical-b2", "0"), ("tropical-b2", "-3"), ("frobenius", "-1"), ("all", "0")],
+    )
+    def test_trials_below_one_is_a_usage_error(self, capsys, check, trials):
+        code, doc = run_json(capsys, "verify", check, "--trials", trials)
+        assert (code, doc["kind"]) == (2, "usage")
+        assert doc["message"] == f"--trials must be at least 1, got {trials}"
+
+    def test_registry_defaults_only_a_missing_count(self):
+        from foldline.checks import ALL_CHECKS
+
+        run = dict(ALL_CHECKS)["tropical-b2"]
+        assert run(0, 0).detail["trials"] == 0
+        assert run(0, 3).detail["trials"] == 3
+        assert run(0, None).detail["trials"] == 1000
+
+    def test_one_trial_checks_every_monoid_law(self, monkeypatch):
+        """With --trials 1, relations (i) and (iii) run once on A2 (3 and 6
+        actions) and associativity once per datum (4 products each)."""
+        from foldline import checks
+
+        left_mul_gen, mul = checks.left_mul_gen, checks.mul
+        actions, products = [], []
+
+        def counted_action(gen, m):
+            actions.append(m.datum.rank)
+            return left_mul_gen(gen, m)
+
+        def counted_product(x, y):
+            products.append(x.datum.rank)
+            return mul(x, y)
+
+        monkeypatch.setattr(checks, "left_mul_gen", counted_action)
+        monkeypatch.setattr(checks, "mul", counted_product)
+        assert checks.check_monoid_laws(0, 1).ok
+        assert actions.count(2) == 3 + 6
+        assert sorted(products) == [2] * 4 + [3] * 4
+
 
 class TestWordErrors:
     """Typed errors from reduced-word validation reach the CLI unchanged."""
@@ -323,6 +393,10 @@ class TestMonoid:
         )
         assert doc["payload"]["l_scan"] == 3
         assert doc["payload"]["l_coordinate"] == 3
+
+    def test_crystal_graph_negative_bound(self, capsys):
+        code, doc = run_json(capsys, "monoid", "crystal-graph", "--datum", "A2", "--bound", "-1")
+        assert (code, doc["kind"]) == (1, "bad-bound")
 
     def test_crystal_graph_dot(self, capsys):
         code, output = run(
@@ -428,6 +502,69 @@ class TestLimits:
             "--coords", "*".join(["x"] * 4000) + ",y,z", "--semifield", "sym",
         )
         assert (code, doc["kind"]) == (1, "limit")
+
+    def test_nesting_past_the_limit(self, capsys):
+        # 300 levels raised RecursionError; the certificates nest 2 deep
+        nested = "(" * 300 + "x" + ")" * 300
+        code, doc = self.run_limited(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", f"{nested},y,z", "--semifield", "sym",
+        )
+        assert (code, doc["kind"]) == (1, "limit")
+
+    def test_nesting_at_the_limit(self, capsys):
+        nested = "(" * NESTING_LIMIT + "x" + ")" * NESTING_LIMIT
+        code, doc = self.run_limited(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", f"{nested},y,z", "--semifield", "sym",
+        )
+        assert code == 0
+        assert doc["payload"][0]["c"] == "y*z / (x + z)"
+
+    def test_symbolic_expansion_past_the_term_limit(self, capsys):
+        # the largest polynomial grew to 190,850 terms in 20-24 s unbounded
+        coords = ",".join(f"({x}+{x}{x})" for x in "abcdefghijkl")
+        start = time.perf_counter()
+        code, doc = run_json(
+            capsys, "lambda", "--datum", "D4+triality", "--word", "4,2,3,1,2,4,1,2,3,1,2,1",
+            "--coords", coords, "--i", "1", "--semifield", "sym",
+        )
+        assert time.perf_counter() - start < 2.0
+        assert (code, doc["kind"]) == (1, "limit")
+        assert doc["message"] == f"a polynomial has more than {TERM_LIMIT} terms"
+
+    def test_product_past_the_term_limit_stops_early(self, capsys):
+        # each factor expands to 11,441 terms; unbounded, their product
+        # ran for more than 40 s before the limit could see it
+        factor = "((a+b+c+d+e+f+g+h+i+j)^7+1)"
+        start = time.perf_counter()
+        code, doc = run_json(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", f"{factor}*{factor},y,z", "--semifield", "sym",
+        )
+        assert time.perf_counter() - start < 2.0
+        assert (code, doc["kind"]) == (1, "limit")
+
+    @pytest.mark.parametrize("name", [f"A{RANK_LIMIT + 1}", "A99999999", "A" + "1" * 5000,
+                                      f"Dstyle:n={RANK_LIMIT}", f"B:n={RANK_LIMIT + 1}"])
+    def test_rank_past_the_limit(self, capsys, name):
+        # A99999999 would build a pairing of 10^16 entries
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "datum", "validate", "--builtin", name)
+        assert time.perf_counter() - start < 2.0
+        assert (code, doc["kind"]) == (1, "limit")
+
+    def test_rank_at_the_limit(self, capsys):
+        code, doc = self.run_limited(capsys, "datum", "validate", "--builtin", f"A{RANK_LIMIT}")
+        assert code == 0 and len(doc["payload"]["labels"]) == RANK_LIMIT
+
+    def test_file_rank_past_the_limit(self, capsys, tmp_path):
+        n = RANK_LIMIT + 1
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps({"labels": list(range(n)), "pairing": [[2] * n] * n}))
+        code, doc = run_json(capsys, "datum", "validate", "--file", str(path))
+        assert (code, doc["kind"]) == (1, "limit")
+        assert doc["message"] == f"rank {n} is above {RANK_LIMIT}"
 
     def test_product_under_the_token_limit(self, capsys):
         code, doc = self.run_limited(

@@ -6,6 +6,7 @@ from pathlib import Path
 import foldline
 
 SOURCE = Path(foldline.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _is_lru_cache(decorator):
@@ -48,3 +49,19 @@ def test_caches_are_bounded_and_no_assert_guards():
                         unbounded.add((path.name, node.name))
     assert unbounded == set()
     assert asserts == []
+
+
+def test_every_input_limit_is_documented():
+    """Each module-level ``*_LIMIT`` constant is named in the README as
+    ``module.NAME``, where its users look for the bounds on their inputs."""
+    readme = README.read_text(encoding="utf-8")
+    limits = [
+        f"{path.stem}.{target.id}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_LIMIT")
+    ]
+    assert len(limits) >= 7
+    assert [name for name in limits if f"`{name}`" not in readme] == []

@@ -10,16 +10,27 @@ from foldline.cartan import builtin, fold, h_value
 from foldline.errors import DatumError, WordError
 from foldline.folding import standard_folding
 from foldline.weyl import (
-    WeylElement,
+    _apply,
+    _descents,
+    _greedy_min_word,
     base_word,
     braid_neighbors,
     enumerate_reduced_words,
-    longest_element,
     orbit_longest,
     orbit_reduced_words,
     reduced_word_for_w0_starting_with,
     word_for_w0,
 )
+
+
+def _one(datum):
+    """The identity element: the vector rho = (1, ..., 1)."""
+    return (1,) * datum.rank
+
+
+def _w0(datum):
+    """w_0: the vector -rho."""
+    return (-1,) * datum.rank
 
 
 class TestLongestElement:
@@ -29,25 +40,24 @@ class TestLongestElement:
     )
     def test_lengths(self, name, n):
         datum, _ = builtin(name)
-        w0, length = longest_element(datum)
-        assert length == n
-        assert w0.length() == n
-        assert w0.rho == (-1,) * datum.rank
         base = base_word(datum).letters
-        assert WeylElement.from_word(datum, base).rho == w0.rho
-        assert WeylElement.from_word(datum, base + base).is_identity()  # w_0 w_0 = 1
+        assert len(base) == n
+        assert len(_greedy_min_word(datum, _w0(datum))) == n
+        assert _apply(datum, _one(datum), base) == _w0(datum)
+        assert _apply(datum, _one(datum), base + base) == _one(datum)  # w_0 w_0 = 1
 
     def test_g2_length(self):
         fd = fold(*builtin("D4+triality"))
-        assert longest_element(fd.folded)[1] == 6
+        assert len(base_word(fd.folded)) == 6
 
     def test_generator_involution(self):
         datum, _ = builtin("A3")
+        one = _one(datum)
         for i in datum.labels:
-            s = WeylElement.identity(datum).times_simple(i)
-            assert not s.is_identity() and s.right_descents() == [i]
-            assert s.times_simple(i).is_identity()
-            assert WeylElement.from_word(datum, (i, i)).is_identity()
+            s = _apply(datum, one, (i,))
+            assert s != one and _descents(datum, s) == [i]
+            assert _apply(datum, s, (i,)) == one
+            assert _apply(datum, one, (i, i)) == one
 
     def test_length_is_minimal_word_length(self):
         """Brute force over all short words: length = least realizing length."""
@@ -55,11 +65,11 @@ class TestLongestElement:
         shortest = {}
         for length in range(0, 4):
             for letters in itertools.product(datum.labels, repeat=length):
-                rho = WeylElement.from_word(datum, letters).rho
+                rho = _apply(datum, _one(datum), letters)
                 shortest.setdefault(rho, length)
         assert len(shortest) == 6
         for rho, length in shortest.items():
-            assert WeylElement(datum, rho).length() == length
+            assert len(_greedy_min_word(datum, rho)) == length
 
 
 class TestWordsStartingWith:
@@ -90,7 +100,7 @@ class TestEnumeration:
     def test_a3_against_brute_force(self):
         datum, _ = builtin("A3")
         graph = enumerate_reduced_words(datum)
-        _, n = longest_element(datum)
+        n = len(base_word(datum))
         oracle = sum(
             1
             for letters in itertools.product(datum.labels, repeat=n)
@@ -107,10 +117,10 @@ class TestEnumeration:
 
     def test_every_word_multiplies_to_w0(self):
         datum, _ = builtin("A3")
-        w0, n = longest_element(datum)
+        n = len(base_word(datum))
         for letters in enumerate_reduced_words(datum).vertices:
             assert len(letters) == n
-            assert WeylElement.from_word(datum, letters) == w0
+            assert _apply(datum, _one(datum), letters) == _w0(datum)
             assert _negates_every_root(checks._word_matrix(datum, letters))
 
     def test_cap(self):
@@ -181,10 +191,9 @@ class TestBraidMoves:
 
     def test_moves_preserve_element(self):
         datum, _ = builtin("A3")
-        w0, _ = longest_element(datum)
         for letters in enumerate_reduced_words(datum).vertices:
             for word, _, _ in braid_neighbors(word_for_w0(datum, letters)):
-                assert WeylElement.from_word(datum, word.letters) == w0
+                assert _apply(datum, _one(datum), word.letters) == _w0(datum)
 
     def test_not_reduced_rejected(self):
         datum, _ = builtin("A2")
@@ -197,19 +206,19 @@ class TestBraidMoves:
 class TestOrbits:
     def test_singleton(self):
         datum, _ = builtin("Dstyle:n=2")
-        element, n, word = orbit_longest(datum, ("1",))
-        assert (n, word) == (1, ("1",))
+        word = orbit_longest(datum, ("1",))
+        assert (len(word), word) == (1, ("1",))
 
     def test_commuting_pair(self):
         datum, _ = builtin("Dstyle:n=2")
-        element, n, word = orbit_longest(datum, ("2", "2'"))
-        assert (n, word) == (2, ("2", "2'"))
+        word = orbit_longest(datum, ("2", "2'"))
+        assert (len(word), word) == (2, ("2", "2'"))
         assert orbit_reduced_words(datum, ("2", "2'")) == (("2", "2'"), ("2'", "2"))
 
     def test_joined_pair(self):
         datum, _ = builtin("A4+flip")
-        element, n, word = orbit_longest(datum, ("2", "3"))
-        assert (n, word) == (3, ("2", "3", "2"))
+        word = orbit_longest(datum, ("2", "3"))
+        assert (len(word), word) == (3, ("2", "3", "2"))
         assert set(orbit_reduced_words(datum, ("2", "3"))) == {
             ("2", "3", "2"),
             ("3", "2", "3"),
@@ -217,8 +226,8 @@ class TestOrbits:
 
     def test_triality_orbit(self):
         datum, _ = builtin("D4+triality")
-        element, n, word = orbit_longest(datum, ("1", "3", "4"))
-        assert n == 3 and word == ("1", "3", "4")
+        word = orbit_longest(datum, ("1", "3", "4"))
+        assert len(word) == 3 and word == ("1", "3", "4")
 
     def test_unsupported_orbit(self):
         datum, _ = builtin("A3")
@@ -229,16 +238,33 @@ class TestOrbits:
     def test_folded_subgroup_identification(self):
         """w_1bar w_2bar w_1bar w_2bar equals w_0 in the D-style source."""
         datum, _ = builtin("Dstyle:n=2")
-        w1 = orbit_longest(datum, ("1",))[2]
-        w2 = orbit_longest(datum, ("2", "2'"))[2]
-        assert WeylElement.from_word(datum, w1 + w2 + w1 + w2) == longest_element(datum)[0]
+        w1 = orbit_longest(datum, ("1",))
+        w2 = orbit_longest(datum, ("2", "2'"))
+        assert _apply(datum, _one(datum), w1 + w2 + w1 + w2) == _w0(datum)
 
     def test_unfolded_length_is_additive(self):
         fd = fold(*builtin("A4+flip"))
-        n_folded = longest_element(fd.folded)[1]
-        blocks = {eta: orbit_longest(fd.source, fd.orbit_of(eta))[1] for eta in fd.folded.labels}
+        n_folded = len(base_word(fd.folded))
+        blocks = {eta: len(orbit_longest(fd.source, fd.orbit_of(eta))) for eta in fd.folded.labels}
         assert n_folded == 4 and blocks == {"1": 2, "2": 3}
-        assert longest_element(fd.source)[1] == 2 * blocks["1"] + 2 * blocks["2"]
+        assert len(base_word(fd.source)) == 2 * blocks["1"] + 2 * blocks["2"]
+
+    @pytest.mark.parametrize("name", ["Dstyle:n=2", "A4+flip", "D4+triality"])
+    def test_orbit_words_against_brute_force(self, name):
+        """Every word of the orbit word's length, over all labels, whose rho
+        image is the orbit element's is one of its reduced words."""
+        fd = fold(*builtin(name))
+        datum = fd.source
+        for orbit in fd.orbits:
+            word = orbit_longest(datum, orbit)
+            image = _apply(datum, _one(datum), word)
+            brute = {
+                letters
+                for letters in itertools.product(datum.labels, repeat=len(word))
+                if _apply(datum, _one(datum), letters) == image
+            }
+            assert set(orbit_reduced_words(datum, orbit)) == brute
+            assert len(orbit_reduced_words(datum, orbit)) == len(brute)
 
 
 def _negates_every_root(matrix):
@@ -249,7 +275,7 @@ def _negates_every_root(matrix):
 
 def _matrix_check(datum, letters):
     """The matrix-product reference for word_for_w0."""
-    _, n = longest_element(datum)
+    n = len(base_word(datum))
     return len(letters) == n and _negates_every_root(checks._word_matrix(datum, letters))
 
 
@@ -278,7 +304,7 @@ class TestRhoCheck:
         ids=["A2", "A3", "B:n=2", "folded-a3", "folded-a4", "folded-d4"],
     )
     def test_exhaustive_at_length_n(self, datum):
-        _, n = longest_element(datum)
+        n = len(base_word(datum))
         accepted = 0
         for letters in itertools.product(datum.labels, repeat=n):
             expected = _matrix_check(datum, letters)
@@ -289,7 +315,7 @@ class TestRhoCheck:
     @pytest.mark.parametrize("name", ["A4", "D4+triality"])
     def test_seeded_random_and_transposed(self, name):
         datum, _ = builtin(name)
-        _, n = longest_element(datum)
+        n = len(base_word(datum))
         rng = random.Random(4)
         reduced = enumerate_reduced_words(datum).vertices
         samples = [tuple(rng.choice(datum.labels) for _ in range(n)) for _ in range(300)]
@@ -328,21 +354,21 @@ class TestRhoVector:
         ids=["A3", "B:n=2", "folded-d4"],
     )
     def test_walk_reaches_the_group(self, datum, order):
-        distance = {WeylElement.identity(datum): 0}
+        distance = {_one(datum): 0}
         frontier = list(distance)
         while frontier:
             following = []
             for element in frontier:
                 for i in datum.labels:
-                    step = element.times_simple(i)
+                    step = _apply(datum, element, (i,))
                     if step not in distance:
                         distance[step] = distance[element] + 1
                         following.append(step)
             frontier = following
         assert len(distance) == order
         for element, least in distance.items():
-            assert element.length() == least
-        assert max(distance.values()) == longest_element(datum)[1]
+            assert len(_greedy_min_word(datum, element)) == least
+        assert max(distance.values()) == len(base_word(datum))
 
     @pytest.mark.parametrize("name", ["A3", "B:n=2"])
     def test_equality_and_descents_agree_with_matrices(self, name):
@@ -350,12 +376,12 @@ class TestRhoVector:
         pairs = set()
         for length in range(5):
             for letters in itertools.product(datum.labels, repeat=length):
-                element = WeylElement.from_word(datum, letters)
+                element = _apply(datum, _one(datum), letters)
                 matrix = checks._word_matrix(datum, letters)
-                pairs.add((element.rho, matrix))
+                pairs.add((element, matrix))
                 negative = [i for i, column in zip(datum.labels, zip(*matrix))
                             if any(x < 0 for x in column)]
-                assert element.right_descents() == negative
+                assert _descents(datum, element) == negative
         assert len({rho for rho, _ in pairs}) == len(pairs)
         assert len({matrix for _, matrix in pairs}) == len(pairs)
 
@@ -363,7 +389,7 @@ class TestRhoVector:
         datum, _ = builtin("A2")
         for rho in ((0, 1), (2, 1), (3, -1)):
             with pytest.raises(WordError) as error:
-                WeylElement(datum, rho).length()
+                _greedy_min_word(datum, rho)
             assert error.value.kind == "not-a-weyl-element"
 
     def test_oracle_uses_no_weyl_machinery(self, monkeypatch):
@@ -371,9 +397,8 @@ class TestRhoVector:
             raise AssertionError("the oracle must not use foldline.weyl")
 
         monkeypatch.setattr(weyl, "_apply", refuse)
-        monkeypatch.setattr(weyl, "longest_element", refuse)
-        monkeypatch.setattr(weyl.WeylElement, "__init__", refuse)
-        monkeypatch.setattr(checks, "longest_element", refuse, raising=False)
+        monkeypatch.setattr(weyl, "base_word", refuse)
+        monkeypatch.setattr(checks, "base_word", refuse)
         assert [checks.brute_force_word_count(name) for name in ("A2", "B:n=2", "A3")] == [
             2, 2, 16,
         ]
