@@ -202,9 +202,6 @@ class DiagramAutomorphism:
     def apply_word(self, letters: Sequence[str]) -> tuple[str, ...]:
         return tuple(self.apply(i) for i in letters)
 
-    def is_identity(self) -> bool:
-        return self.images == self.datum.labels
-
     def orbits(self) -> tuple[tuple[str, ...], ...]:
         """Orbits as label tuples sorted internally and by minimum label."""
         seen: set[str] = set()

@@ -29,10 +29,13 @@ Transition paths are found by breadth-first search in the braid-move graph
 with lexicographically smallest neighbors first.  The move rule is
 ``weyl._braid_move``, shared by the search and by the checks here; the
 search reads each word's neighbours pre-sorted from the bounded table
-``weyl._neighbor_letters``.  Each path is checked move by move once and
-compiled into a flat program of ints (``k0`` for a 2-move at 0-based
-position k0, ``~k0`` for a 3-move), kept in a bounded cache per
-(datum, start, goal).  :func:`transport` runs a program over a list in one
+``weyl._neighbor_letters``.  A word pair has one program, found from the
+smaller word (plain tuple order) and kept in a bounded cache per (datum,
+smaller, larger): the path compiled into a flat tuple of ints (``k0`` for
+a 2-move at 0-based position k0, ``~k0`` for a 3-move), checked move by
+move in both directions once.  Both moves are involutions at their
+position, so the other direction runs the program reversed.
+:func:`transport` runs a program over a list in one
 loop: plain ints with (min, +, -) for the tropical models, the values' own
 ``+ * /`` otherwise.  :func:`transition` validates once on entry and builds
 one decorated word at the end; :func:`apply_move` stays the single-move API,
@@ -164,29 +167,30 @@ _PROGRAM_CACHE_SIZE = 1024
 def _program(
     datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]
 ) -> tuple[int, ...]:
-    """The BFS path start -> goal, checked move by move, as a flat program.
+    """The BFS path start -> goal for start <= goal, as a flat program.
 
     Each op is k0 (a 2-move at 0-based position k0) or ~k0 (a 3-move).
+    Every move is its own inverse at the same position, so the reversed
+    program leads goal -> start; both directions are checked move by move
+    here, once per word pair.
     """
     _require_simply_laced(datum)
-    letters = start
-    program = []
-    for k, r in _bfs_path(datum, start, goal):
-        letters = _check_move(datum, letters, k, r)
-        program.append(k - 1 if r == 2 else ~(k - 1))
-    if letters != goal:
-        raise WordError("invalid-move", "the move path does not end at the goal word")
-    return tuple(program)
+    path = _bfs_path(datum, start, goal)
+    for letters, end, moves in ((start, goal, path), (goal, start, path[::-1])):
+        for k, r in moves:
+            letters = _check_move(datum, letters, k, r)
+        if letters != end:
+            raise WordError("invalid-move", "the move path does not end at the goal word")
+    return tuple(k - 1 if r == 2 else ~(k - 1) for k, r in path)
 
 
 def move_path(
     datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]
 ) -> tuple[tuple[int, int], ...]:
     """The braid-move path between two reduced words, as 1-based (k, r) pairs."""
-    return tuple(
-        (~op + 1, 3) if op < 0 else (op + 1, 2)
-        for op in _program(datum, tuple(start), tuple(goal))
-    )
+    start, goal = tuple(start), tuple(goal)
+    program = _program(datum, start, goal) if start <= goal else _program(datum, goal, start)[::-1]
+    return tuple((~op + 1, 3) if op < 0 else (op + 1, 2) for op in program)
 
 
 def transport(
@@ -198,7 +202,9 @@ def transport(
     other values move with their own +, *, /.  Both words must be reduced
     words for w_0 of the datum.
     """
-    program = _program(datum, tuple(start), tuple(goal))
+    start, goal = tuple(start), tuple(goal)
+    # the word pair's one program, reversed when goal is the smaller word
+    program = _program(datum, start, goal) if start <= goal else _program(datum, goal, start)[::-1]
     out = list(values)
     if len(out) != len(start):
         raise WordError(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import chamber, checks, folding, monoid
 from .cartan import builtin, fold, load_datum_file
 from .errors import FoldlineError, SemifieldError, UsageError
-from .exprs import parse_value
+from .exprs import parse_values
 from .semifield import SemifieldValue, TropInt, model_by_name
 from .weyl import DEFAULT_ENUMERATION_CAP, base_word, braid_neighbors, enumerate_reduced_words
 from .weyl import word_for_w0
@@ -63,8 +63,7 @@ def _parse_coords(text: str, semifield: str) -> tuple[SemifieldValue, ...]:
     names = sorted({name for part in parts for name in _IDENT.findall(part)})
     model = model_by_name(semifield, tuple(names))
     if semifield == "sym":
-        env = model.vars()
-        return tuple(parse_value(part, model, env) for part in parts)
+        return parse_values(parts, model, model.vars())
     return tuple(map(model.value, _numbers(text, Fraction if semifield == "rat" else int)))
 
 
@@ -279,8 +278,32 @@ def _cmd_monoid_crystal(args) -> int:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ``usage`` errors, so that they
+    end in a JSON document too; the usage text still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+_NEGATIVE = re.compile(r"-\d")
+
+
+def _glue_negative_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--opt -1,2`` as ``--opt=-1,2``: argparse reads a value that
+    starts with '-' for an option unless it is one plain number."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="foldline",
         description="Exact transition maps, diagram folding, and the tropical monoid",
     )
@@ -385,11 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_error:
-        return 2 if exit_error.code not in (0, None) else 0
-    try:
+        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
         return args.run(args)
+    except SystemExit:  # only --help exits, after printing its text
+        return 0
     except FoldlineError as error:
         _print_json({"status": "error", "kind": error.kind, "message": str(error)})
         return 2 if isinstance(error, UsageError) else 1

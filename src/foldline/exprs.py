@@ -15,7 +15,7 @@ data and for symbolic coordinates on the command line.
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import SemifieldError
 from .semifield import Semifield, SemifieldValue
@@ -31,6 +31,12 @@ TOKEN_LIMIT = 1000
 # Deepest parenthesis nesting: the certificates nest 2 deep, and 300 levels
 # overflowed the stack of this recursive descent (four frames a level).
 NESTING_LIMIT = 50
+
+# Most polynomial factors in the symbolic values of all expressions parsed
+# together, counted after each product, quotient and power.  A sum expands
+# its summands' factors one product at a time: ten factors (1+x)^100 (1000
+# factors) plus 1 answer, and fifty of them ran past 30 s.
+FACTOR_LIMIT = 1000
 
 _TOKEN = re.compile(r"\s*(\*\*|[()+*/^]|\d+|[A-Za-z_][A-Za-z0-9_]*)")
 
@@ -49,12 +55,25 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _factors(value: SemifieldValue) -> int:
+    """Polynomial factors of a symbolic value's representative (0 for numbers)."""
+    return len(getattr(value, "fnum", ())) + len(getattr(value, "fden", ()))
+
+
 class _Parser:
-    def __init__(self, tokens: list[str], model: Semifield, env: Mapping[str, SemifieldValue]):
+    def __init__(
+        self,
+        tokens: list[str],
+        model: Semifield,
+        env: Mapping[str, SemifieldValue],
+        spent: int,
+    ):
         self.tokens = tokens
         self.pos = 0
         self.model = model
         self.env = env
+        # factors of the expressions parsed before this one
+        self.spent = spent
         # largest product of nested exponents in the factor being parsed
         self.power = 1
         self.depth = 0
@@ -76,12 +95,18 @@ class _Parser:
             value = value + self.term()
         return value
 
+    def bounded(self, value: SemifieldValue) -> SemifieldValue:
+        factors = self.spent + _factors(value)
+        if factors > FACTOR_LIMIT:
+            raise SemifieldError("limit", f"symbolic input has {factors} factors, above {FACTOR_LIMIT}")
+        return value
+
     def term(self) -> SemifieldValue:
         value = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
             other = self.factor()
-            value = value * other if op == "*" else value / other
+            value = self.bounded(value * other if op == "*" else value / other)
         return value
 
     def factor(self) -> SemifieldValue:
@@ -99,7 +124,7 @@ class _Parser:
                 raise SemifieldError(
                     "limit", f"nested exponents multiply to {self.power}, above {EXPONENT_LIMIT}"
                 )
-            value = value ** int(exponent)
+            value = self.bounded(value ** int(exponent))
         self.power = max(outer, self.power)
         return value
 
@@ -123,11 +148,23 @@ class _Parser:
 
 def parse_value(text: str, model: Semifield, env: Mapping[str, SemifieldValue] | None = None) -> SemifieldValue:
     """Parse one subtraction-free expression into a semifield value."""
-    tokens = _tokenize(text)
-    if len(tokens) > TOKEN_LIMIT:
-        raise SemifieldError("limit", f"expression has {len(tokens)} tokens, above {TOKEN_LIMIT}")
-    parser = _Parser(tokens, model, env or {})
-    value = parser.expr()
-    if parser.peek() is not None:
-        raise SemifieldError("parse", f"trailing input at {parser.peek()!r}")
-    return value
+    return parse_values((text,), model, env)[0]
+
+
+def parse_values(
+    texts: Iterable[str], model: Semifield, env: Mapping[str, SemifieldValue] | None = None
+) -> tuple[SemifieldValue, ...]:
+    """Parse expressions whose symbolic factors together stay within
+    ``FACTOR_LIMIT``."""
+    values, spent = [], 0
+    for text in texts:
+        tokens = _tokenize(text)
+        if len(tokens) > TOKEN_LIMIT:
+            raise SemifieldError("limit", f"expression has {len(tokens)} tokens, above {TOKEN_LIMIT}")
+        parser = _Parser(tokens, model, env or {}, spent)
+        value = parser.expr()
+        if parser.peek() is not None:
+            raise SemifieldError("parse", f"trailing input at {parser.peek()!r}")
+        spent += _factors(parser.bounded(value))
+        values.append(value)
+    return tuple(values)

@@ -40,6 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import SemifieldError
@@ -230,14 +233,39 @@ TROP_NAT = TropNat.model = Semifield("tropn", TropNat)
 # to 190,850 terms in 20 s, and passed this bound 0.7 s in.
 TERM_LIMIT = 20_000
 
+# Bits per exponent field of a packed monomial; the top one is a guard bit.
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+# Largest exponent of one variable in a polynomial: what a field holds
+# below its guard bit.  The G2 fold via D4 and the symbolic-fold bench reach
+# 7, `verify all` 4; ten parsed factors (1+x)^100 plus 1 reach 1000.
+DEGREE_LIMIT = (1 << (_FIELD_BITS - 1)) - 1
+
+
+@lru_cache(maxsize=64)
+def _layout(nvars: int) -> tuple[tuple[int, ...], int]:
+    """Field shifts, first variable most significant, and the guard bits."""
+    shifts = tuple(range(_FIELD_BITS * (nvars - 1), -1, -_FIELD_BITS))
+    return shifts, sum(1 << (s + _FIELD_BITS - 1) for s in shifts)
+
 
 class Poly:
     """Sparse integer polynomial in a fixed number of variables.
 
-    Terms map exponent tuples to nonzero integer coefficients.  The class
-    allows arbitrary integer coefficients (exact division needs signed
-    intermediates); the symbolic semifield only ever stores polynomials
-    whose coefficients are positive.
+    ``packed`` maps monomials to nonzero integer coefficients.  A monomial
+    is one int: its exponents in fixed-width fields, the first variable
+    most significant.  So a product of monomials is an int sum, and int
+    order is the lex order of exponent tuples that :meth:`leading` and
+    :meth:`sort_key` use.  Exponents stay at most ``DEGREE_LIMIT``, below
+    each field's top (guard) bit: a product that passes it sets a guard bit
+    and is refused with kind ``limit``, and in :meth:`exact_div` a negative
+    quotient exponent borrows into a guard bit.  ``Poly(nvars, {exponent
+    tuple: c})`` builds one, and :attr:`terms` is that tuple-keyed view.
+
+    The class allows arbitrary integer coefficients (exact division needs
+    signed intermediates); the symbolic semifield only ever stores
+    polynomials whose coefficients are positive.
 
     Invariants that the symbolic kernel asks for again and again are
     computed once per instance, on first use, into slot fields: the hash,
@@ -245,14 +273,35 @@ class Poly:
     used by :meth:`_may_divide`.
     """
 
-    __slots__ = ("nvars", "terms", "_hash", "_key", "_bounds")
+    __slots__ = ("nvars", "packed", "_hash", "_key", "_bounds")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, int]):
-        clean = {e: c for e, c in terms.items() if c}
-        if len(clean) > TERM_LIMIT:
+        packed = {}
+        for e, c in terms.items():
+            if len(e) != nvars:
+                raise SemifieldError("bad-variables", f"exponent {e} is not one per variable")
+            key = 0
+            for k in e:
+                if not 0 <= k <= DEGREE_LIMIT:
+                    raise SemifieldError("limit", f"exponent {k} is outside 0..{DEGREE_LIMIT}")
+                key = key << _FIELD_BITS | k
+            packed[key] = c
+        self._fill(nvars, packed)
+
+    @classmethod
+    def _of(cls, nvars: int, packed: dict[int, int]) -> "Poly":
+        """A polynomial from packed monomials with clear guard bits."""
+        obj = object.__new__(cls)
+        obj._fill(nvars, packed)
+        return obj
+
+    def _fill(self, nvars: int, packed: dict[int, int]) -> None:
+        if 0 in packed.values():
+            packed = {e: c for e, c in packed.items() if c}
+        if len(packed) > TERM_LIMIT:
             raise SemifieldError("limit", f"a polynomial has more than {TERM_LIMIT} terms")
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_bounds", None)
@@ -260,21 +309,27 @@ class Poly:
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def terms(self) -> dict[tuple, int]:
+        """The terms as exponent tuple -> coefficient, unpacked on each read."""
+        shifts = _layout(self.nvars)[0]
+        return {
+            tuple(e >> s & _FIELD_MASK for s in shifts): c for e, c in self.packed.items()
+        }
+
     @classmethod
     def constant(cls, nvars: int, c: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: c})
+        return cls._of(nvars, {0: c})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
-        e = [0] * nvars
-        e[index] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls._of(nvars, {1 << _layout(nvars)[0][index]: 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
+        return self.packed == {0: 1}
 
     def degree(self) -> int:
         return self._invariants()[0]
@@ -318,10 +373,10 @@ class Poly:
         return at_one % one_d == 0 and at_two % two_d == 0
 
     def has_nonnegative_coefficients(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
+        return all(c > 0 for c in self.packed.values())
 
     def content(self) -> int:
-        return math.gcd(*self.terms.values()) if self.terms else 0
+        return math.gcd(*self.packed.values()) if self.packed else 0
 
     def primitive(self) -> tuple[int, "Poly"]:
         """Split into (integer content, primitive part)."""
@@ -330,77 +385,93 @@ class Poly:
         g = self.content()
         if g == 1:
             return 1, self
-        return g, Poly(self.nvars, {e: c // g for e, c in self.terms.items()})
+        return g, Poly._of(self.nvars, {e: c // g for e, c in self.packed.items()})
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self.packed)
+        for e, c in other.packed.items():
             out[e] = out.get(e, 0) + c
-        return Poly(self.nvars, out)
+        return Poly._of(self.nvars, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[tuple, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+        out: dict[int, int] = {}
+        get = out.get
+        right = other.packed.items()
+        for e1, c1 in self.packed.items():
+            for e2, c2 in right:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
             if len(out) > TERM_LIMIT:  # natural factors: no term cancels later
                 break
-        return Poly(self.nvars, out)
+        if reduce(or_, out, 0) & _layout(self.nvars)[1]:
+            raise SemifieldError("limit", f"a product has an exponent above {DEGREE_LIMIT}")
+        return Poly._of(self.nvars, out)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.packed == other.packed
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.nvars, frozenset(self.terms.items())))
+            h = hash((self.nvars, frozenset(self.packed.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def sort_key(self):
         key = self._key
         if key is None:
-            key = (self.degree(), len(self.terms), sorted(self.terms.items()))
+            key = (self.degree(), len(self.packed), sorted(self.packed.items()))
             object.__setattr__(self, "_key", key)
         return key
 
     def leading(self) -> tuple[tuple, int]:
         """Lexicographically largest exponent and its coefficient."""
-        e = max(self.terms)
-        return e, self.terms[e]
+        return max(self.terms.items())
 
     def exact_div(self, other: "Poly") -> "Poly | None":
         """Exact quotient self/other, or None if not divisible.
 
-        Plain long division by the lex-leading term; signed intermediate
-        coefficients are fine.
+        Long division by the lex-leading term; signed intermediate
+        coefficients are fine.  The remainder's leading monomials come from
+        a max-heap of its monomials, not from a scan of the whole remainder
+        per step (heaps in division: S. C. Johnson, 1974).  A monomial
+        enters the heap when it enters the remainder; one that has since
+        cancelled is skipped when it comes up.
         """
         if other.is_zero():
             return None
         if other.is_one():
             return self
-        rem = dict(self.terms)
-        quo: dict[tuple, int] = {}
-        le, lc = other.leading()
+        guard = _layout(self.nvars)[1]
+        rem = dict(self.packed)
+        heap = [-e for e in rem]
+        heapify(heap)
+        quo: dict[int, int] = {}
+        divisor = other.packed.items()
+        le = max(other.packed)
+        lc = other.packed[le]
         while rem:
-            re = max(rem)
-            rc = rem[re]
-            qe = tuple(a - b for a, b in zip(re, le))
-            if any(x < 0 for x in qe) or rc % lc != 0:
+            re = -heappop(heap)
+            rc = rem.get(re)
+            if rc is None:
+                continue
+            qe = re - le
+            if qe < 0 or qe & guard or rc % lc:
                 return None
-            qc = rc // lc
-            quo[qe] = quo.get(qe, 0) + qc
-            for e, c in other.terms.items():
-                key = tuple(a + b for a, b in zip(qe, e))
-                v = rem.get(key, 0) - qc * c
-                if v:
-                    rem[key] = v
+            qc = quo[qe] = rc // lc
+            for e, c in divisor:
+                key = qe + e
+                v = rem.get(key)
+                if v is None:
+                    rem[key] = -qc * c
+                    heappush(heap, -key)
+                elif v == qc * c:
+                    del rem[key]
                 else:
-                    rem.pop(key, None)
-        return Poly(self.nvars, quo)
+                    rem[key] = v - qc * c
+        return Poly._of(self.nvars, quo)
 
     def evaluate(
         self, model: Semifield | SymbolicSemifield, values: list[SemifieldValue]
@@ -698,7 +769,7 @@ class SymRat(SemifieldValue):
     def __str__(self):
         def wrap(p: Poly) -> str:
             text = p.render(self.model.variables)
-            return f"({text})" if len(p.terms) > 1 else text
+            return f"({text})" if len(p.packed) > 1 else text
 
         num = wrap(self.num)
         if self.cden == 1 and not self.fden:

@@ -7,7 +7,7 @@ import time
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from foldline import weyl
 from foldline.cartan import builtin, load_datum_file
@@ -167,8 +167,9 @@ class TestTransition:
     @pytest.mark.parametrize("name", ["A3", "A4", "D4+triality"])
     def test_paths_match_the_reference_search(self, name):
         """move_path finds the path of a BFS that sorts each word's braid
-        neighbours when it visits the word: every A3 pair, 100 seeded pairs
-        in A4 and in D4."""
+        neighbours when it visits the word, searched from the smaller word
+        of the pair and reversed when the goal is the smaller one: every A3
+        pair, 100 seeded pairs in A4 and in D4."""
         datum, _ = builtin(name)
         words = enumerate_reduced_words(datum).vertices
         if name == "A3":
@@ -178,7 +179,28 @@ class TestTransition:
             pairs = [tuple(rng.sample(words, 2)) for _ in range(100)]
         neighbors = {}
         for start, goal in pairs:
-            assert move_path(datum, start, goal) == reference_path(datum, start, goal, neighbors)
+            if start <= goal:
+                expected = reference_path(datum, start, goal, neighbors)
+            else:
+                expected = reference_path(datum, goal, start, neighbors)[::-1]
+            assert move_path(datum, start, goal) == expected
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.sampled_from(["A3", "A4"]), st.data())
+    def test_reverse_path_and_round_trip(self, name, data):
+        """b -> a is a -> b reversed, and a sym round trip a -> b -> a gives
+        back the variables."""
+        datum, _ = builtin(name)
+        words = enumerate_reduced_words(datum).vertices
+        a = data.draw(st.sampled_from(words))
+        b = data.draw(st.sampled_from(words))
+        assert move_path(datum, b, a) == move_path(datum, a, b)[::-1]
+        model = SymbolicSemifield(tuple(f"x{k}" for k in range(1, len(a) + 1)))
+        xs = tuple(model.vars().values())
+        there = transition(decorated(datum, a, xs), word_for_w0(datum, b))
+        back = transition(there, word_for_w0(datum, a))
+        assert back.word.letters == a
+        assert all(p == q for p, q in zip(back.coords, xs))
 
     def test_every_d4_pair_fits_under_the_word_limit(self):
         d4, _ = builtin("D4+triality")

@@ -7,7 +7,7 @@ import pytest
 
 from foldline.cartan import RANK_LIMIT
 from foldline.cli import main
-from foldline.exprs import NESTING_LIMIT
+from foldline.exprs import FACTOR_LIMIT, NESTING_LIMIT
 from foldline.semifield import TERM_LIMIT
 
 
@@ -439,6 +439,39 @@ class TestMalformedNumbers:
         assert (code, doc["status"], doc["kind"], captured.err) == (1, "error", "parse", "")
 
 
+class TestParserErrors:
+    """What the argument parser cannot read is a usage error document."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "tropical-b2", "--trials", "x"), "argument --trials: invalid int value: 'x'"),
+            (("verify",), "the following arguments are required: what"),
+            (("transition", "--datum", "A2", "--from", "121", "--to", "212"),
+             "the following arguments are required: --coords"),
+            (("transition", "--datum", "A2", "--coords", "1,2,3", "--from", "121", "--to", "212",
+              "--semifield", "real"),
+             "argument --semifield: invalid choice: 'real'"),
+        ],
+    )
+    def test_usage_document(self, capsys, argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        doc = json.loads(captured.out)
+        assert (doc["status"], doc["kind"]) == ("error", "usage")
+        assert doc["message"].startswith(message)  # Python versions add choices differently
+        assert captured.err.startswith("usage: foldline")
+
+    def test_value_with_a_leading_minus(self, capsys):
+        argv = ("transition", "--datum", "A2", "--from", "121", "--to", "212", "--semifield", "tropz")
+        spaced = run_json(capsys, *argv, "--coords", "-1,2,3")
+        joined = run_json(capsys, *argv, "--coords=-1,2,3")
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert [entry["c"] for entry in spaced[1]["payload"]] == [6, -1, 2]
+
+
 class TestLimits:
     """Inputs past a fixed size answer with kind limit in under a second, a
     braid path search past its word limit in a few seconds."""
@@ -565,6 +598,36 @@ class TestLimits:
         code, doc = run_json(capsys, "datum", "validate", "--file", str(path))
         assert (code, doc["kind"]) == (1, "limit")
         assert doc["message"] == f"rank {n} is above {RANK_LIMIT}"
+
+    def test_factors_past_the_limit(self, capsys):
+        # fifty factors (1+x)^100 are 5,000 polynomial factors; before the
+        # bound, expanding them for the sum ran past a 30 s timeout
+        product = "*".join(["(1+x)^100"] * 50)
+        code, doc = self.run_limited(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", f"{product}+1,y,z", "--semifield", "sym",
+        )
+        assert (code, doc["kind"]) == (1, "limit")
+        assert doc["message"] == f"symbolic input has 1100 factors, above {FACTOR_LIMIT}"
+
+    def test_factors_of_all_coordinates_count_together(self, capsys):
+        power = "*".join(["x^100"] * 6)  # 600 factors in each of two coordinates
+        code, doc = self.run_limited(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", f"{power},{power},z", "--semifield", "sym",
+        )
+        assert (code, doc["kind"]) == (1, "limit")
+
+    def test_factors_at_the_limit(self, capsys):
+        product = "*".join(["(1+x)^100"] * 10)
+        start = time.perf_counter()
+        code, doc = run_json(
+            capsys, "transition", "--datum", "A2", "--from", "121", "--to", "212",
+            "--coords", f"{product}+1,y,z", "--semifield", "sym",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert doc["payload"][1]["c"].startswith("(x^1000 + 1000*x^999 + ")
 
     def test_product_under_the_token_limit(self, capsys):
         code, doc = self.run_limited(

@@ -5,7 +5,9 @@ the argument parser, arbitrary for the library: random letters, counts,
 numbers, fractions, identifiers, powers and nested parentheses) and
 checks that ``cli.main`` returns 0, or 1/2 with an error document that
 carries a ``kind``, never raises, and answers each call within a time
-bound.  The search is derandomized and bounded, so it runs the same
+bound.  Half the calls pass each option and its value as two arguments,
+and some counts do not parse, so the argument parser's own errors are
+drawn too.  The search is derandomized and bounded, so it runs the same
 examples on every run.
 """
 
@@ -142,13 +144,21 @@ def folded_command(draw):
 
 @st.composite
 def verify_command(draw):
-    return ["verify", draw(st.sampled_from(CHECKS)), f"--trials={draw(st.integers(-2, 4))}",
+    trials = draw(_mostly(st.integers(-2, 4).map(str), st.sampled_from(("x", "1.5", ""))))
+    return ["verify", draw(st.sampled_from(CHECKS)), f"--trials={trials}",
             f"--seed={draw(st.integers(0, 3))}"]
+
+
+def _spaced(argv):
+    """Pass each option and its value as two arguments, as a shell user
+    would, so values such as -1,2,3 follow their option."""
+    return [part for arg in argv for part in arg.split("=", 1)]
 
 
 # The data commands have the most argument shapes, so they are drawn most.
 commands = st.one_of(datum_command(), datum_command(), datum_command(), folded_command(),
                      verify_command())
+commands = st.tuples(commands, st.booleans()).map(lambda t: _spaced(t[0]) if t[1] else t[0])
 
 
 def _call(argv):
