@@ -21,7 +21,7 @@ from .cartan import builtin, fold, load_datum_file
 from .errors import FoldlineError, SemifieldError, UsageError
 from .exprs import parse_values
 from .semifield import SemifieldValue, TropInt, model_by_name
-from .weyl import DEFAULT_ENUMERATION_CAP, base_word, braid_neighbors, enumerate_reduced_words
+from .weyl import ENUMERATION_LIMIT, base_word, braid_neighbors, enumerate_reduced_words
 from .weyl import word_for_w0
 
 
@@ -128,6 +128,8 @@ def _cmd_datum_fold(args) -> int:
 
 
 def _cmd_words_enumerate(args) -> int:
+    if args.cap < 1:
+        raise UsageError(f"--cap must be at least 1, got {args.cap}")
     datum, _ = _datum_of(args)
     graph = enumerate_reduced_words(datum, cap=args.cap)
     if args.dot:
@@ -218,6 +220,8 @@ _VERIFY_RUNNERS = {
 def _cmd_verify(args) -> int:
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials is not None and args.trials > checks.TRIALS_LIMIT:
+        raise FoldlineError("limit", f"--trials {args.trials} is above {checks.TRIALS_LIMIT}")
     if args.what == "chain":
         if not args.id:
             raise UsageError("verify chain needs --id")
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     words_sub = words.add_subparsers(dest="action", required=True)
     p = words_sub.add_parser("enumerate")
     add_datum_flags(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=int, default=ENUMERATION_LIMIT)
     p.add_argument("--dot", action="store_true", help="emit the word graph as DOT")
     p.set_defaults(run=_cmd_words_enumerate)
     p = words_sub.add_parser("neighbors")

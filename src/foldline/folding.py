@@ -332,10 +332,15 @@ def _chain_lines_to_decorated(data: dict):
     env = model.vars()
     for name, expression in data.get("abbreviations", {}).items():
         env[name] = parse_value(expression, model, env)
+    # a line repeats most of the one before it: parse each expression once
+    parsed: dict[str, SemifieldValue] = {}
     lines = []
     for row in data["lines"]:
+        for _, expression in row:
+            if expression not in parsed:
+                parsed[expression] = parse_value(expression, model, env)
         letters = tuple(letter for letter, _ in row)
-        coords = tuple(parse_value(expression, model, env) for _, expression in row)
+        coords = tuple(parsed[expression] for _, expression in row)
         lines.append(DecoratedWord(word_for_w0(datum, letters), coords))
     return fd, lines
 

@@ -250,6 +250,32 @@ def _layout(nvars: int) -> tuple[tuple[int, ...], int]:
     return shifts, sum(1 << (s + _FIELD_BITS - 1) for s in shifts)
 
 
+def _covers(x: int, y: int, guard: int) -> bool:
+    """Every exponent field of the packed monomial x is at least y's: no
+    field of x with its guard bit set borrows it back when y is taken off."""
+    return ((x | guard) - y) & guard == guard
+
+
+def _min_max(x: int, y: int, guard: int) -> tuple[int, int]:
+    """Field-wise min and max of two packed monomials."""
+    ge = ((x | guard) - y) & guard  # the guard bits of the fields where x >= y
+    ge -= ge >> (_FIELD_BITS - 1)  # ... spread over those fields' value bits
+    return y & ge | x & ~ge, x & ge | y & ~ge
+
+
+def _may_divide(big: tuple, small: tuple, guard: int) -> bool:
+    """The test of :meth:`Poly._may_divide` on the two polynomials'
+    invariants."""
+    _, lo, hi, at_one, at_two = big
+    _, lo_d, hi_d, one_d, two_d = small
+    return (
+        _covers(lo, lo_d, guard)
+        and _covers(hi - lo, hi_d - lo_d, guard)
+        and at_one % one_d == 0
+        and at_two % two_d == 0
+    )
+
+
 class Poly:
     """Sparse integer polynomial in a fixed number of variables.
 
@@ -267,10 +293,12 @@ class Poly:
     signed intermediates); the symbolic semifield only ever stores
     polynomials whose coefficients are positive.
 
-    Invariants that the symbolic kernel asks for again and again are
-    computed once per instance, on first use, into slot fields: the hash,
-    the sort key, and the degree, per-variable exponent bounds and values
-    used by :meth:`_may_divide`.
+    The hash and the sort key are computed once per instance, on first
+    use, into slot fields.  So are the invariants that :meth:`_may_divide`
+    reads (the degree, the lowest and highest exponent of each variable and
+    the values at two points), but only for leaves: a product, a natural
+    sum, a primitive part or an exact quotient derives its own from its
+    operands' (see :meth:`_invariants`).
     """
 
     __slots__ = ("nvars", "packed", "_hash", "_key", "_bounds")
@@ -286,16 +314,17 @@ class Poly:
                     raise SemifieldError("limit", f"exponent {k} is outside 0..{DEGREE_LIMIT}")
                 key = key << _FIELD_BITS | k
             packed[key] = c
-        self._fill(nvars, packed)
+        self._fill(nvars, packed, None)
 
     @classmethod
-    def _of(cls, nvars: int, packed: dict[int, int]) -> "Poly":
-        """A polynomial from packed monomials with clear guard bits."""
+    def _of(cls, nvars: int, packed: dict[int, int], bounds: tuple | None = None) -> "Poly":
+        """A polynomial from packed monomials with clear guard bits, and its
+        invariants if the caller knows them (None: scan on first use)."""
         obj = object.__new__(cls)
-        obj._fill(nvars, packed)
+        obj._fill(nvars, packed, bounds)
         return obj
 
-    def _fill(self, nvars: int, packed: dict[int, int]) -> None:
+    def _fill(self, nvars: int, packed: dict[int, int], bounds: tuple | None) -> None:
         if 0 in packed.values():
             packed = {e: c for e, c in packed.items() if c}
         if len(packed) > TERM_LIMIT:
@@ -304,7 +333,7 @@ class Poly:
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_bounds", None)
+        object.__setattr__(self, "_bounds", bounds)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -319,11 +348,12 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "Poly":
-        return cls._of(nvars, {0: c})
+        return cls._of(nvars, {0: c}, (0, 0, 0, c, c))
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
-        return cls._of(nvars, {1 << _layout(nvars)[0][index]: 1})
+        key = 1 << _layout(nvars)[0][index]
+        return cls._of(nvars, {key: 1}, (1, key, key, 1, index + 2))
 
     def is_zero(self) -> bool:
         return not self.packed
@@ -335,25 +365,30 @@ class Poly:
         return self._invariants()[0]
 
     def _invariants(self) -> tuple:
-        """(degree, per-variable min and max exponents, values at the
-        points (1, 1, 1, ...) and (2, 3, 4, ...)), computed once."""
+        """(degree, the lowest and the highest exponent of each variable as
+        packed monomials, values at the points (1, 1, 1, ...) and
+        (2, 3, 4, ...)).
+
+        A product adds its factors' degrees and exponent bounds and
+        multiplies their values: Z[x] has no zero divisors, so no extreme
+        term cancels.  A sum of natural polynomials takes the larger degree
+        and highest exponents, the smaller lowest exponents and the sum of
+        the values; a primitive part divides the values by the content, and
+        an exact quotient takes the dividend's less the divisor's, values
+        divided.  Those results are built with their invariants; any other
+        polynomial scans its packed terms once, here.
+        """
         bounds = self._bounds
         if bounds is None:
-            terms = self.terms
-            columns = tuple(zip(*terms))
-            at_two = 0
-            for e, c in terms.items():
-                for x, k in enumerate(e, 2):
-                    if k:
-                        c *= x**k
-                at_two += c
-            bounds = (
-                max(map(sum, terms), default=0),
-                tuple(map(min, columns)),
-                tuple(map(max, columns)),
-                sum(terms.values()),
-                at_two,
-            )
+            shifts, guard = _layout(self.nvars)
+            lo = hi = next(iter(self.packed), 0)
+            degree = at_two = 0
+            for e, c in self.packed.items():
+                exponents = [e >> s & _FIELD_MASK for s in shifts]
+                degree = max(degree, sum(exponents))
+                at_two += c * math.prod(x**k for x, k in enumerate(exponents, 2))
+                lo, hi = _min_max(lo, e, guard)[0], _min_max(hi, e, guard)[1]
+            bounds = (degree, lo, hi, sum(self.packed.values()), at_two)
             object.__setattr__(self, "_bounds", bounds)
         return bounds
 
@@ -365,12 +400,7 @@ class Poly:
         be self's minus other's, which must be ordered and nonnegative; and
         other's (positive) value at each fixed point must divide self's.
         """
-        _, lo, hi, at_one, at_two = self._invariants()
-        _, lo_d, hi_d, one_d, two_d = other._invariants()
-        for a, b, c, d in zip(lo, lo_d, hi, hi_d):
-            if a < b or c - d < a - b:
-                return False
-        return at_one % one_d == 0 and at_two % two_d == 0
+        return _may_divide(self._invariants(), other._invariants(), _layout(self.nvars)[1])
 
     def has_nonnegative_coefficients(self) -> bool:
         return all(c > 0 for c in self.packed.values())
@@ -385,15 +415,38 @@ class Poly:
         g = self.content()
         if g == 1:
             return 1, self
-        return g, Poly._of(self.nvars, {e: c // g for e, c in self.packed.items()})
+        bounds = self._bounds
+        if bounds is not None:
+            degree, lo, hi, at_one, at_two = bounds
+            bounds = (degree, lo, hi, at_one // g, at_two // g)
+        return g, Poly._of(self.nvars, {e: c // g for e, c in self.packed.items()}, bounds)
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _sum_terms(self, other: "Poly") -> dict[int, int]:
         out = dict(self.packed)
         for e, c in other.packed.items():
             out[e] = out.get(e, 0) + c
-        return Poly._of(self.nvars, out)
+        return out
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return Poly._of(self.nvars, self._sum_terms(other))
+
+    def _natural_sum(self, other: "Poly") -> "Poly":
+        """self + other for nonzero natural polynomials: no term cancels."""
+        d1, lo1, hi1, one1, two1 = self._invariants()
+        d2, lo2, hi2, one2, two2 = other._invariants()
+        guard = _layout(self.nvars)[1]
+        bounds = (
+            max(d1, d2),
+            _min_max(lo1, lo2, guard)[0],
+            _min_max(hi1, hi2, guard)[1],
+            one1 + one2,
+            two1 + two2,
+        )
+        return Poly._of(self.nvars, self._sum_terms(other), bounds)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        d1, lo1, hi1, one1, two1 = self._invariants()
+        d2, lo2, hi2, one2, two2 = other._invariants()
         out: dict[int, int] = {}
         get = out.get
         right = other.packed.items()
@@ -403,9 +456,13 @@ class Poly:
                 out[e] = get(e, 0) + c1 * c2
             if len(out) > TERM_LIMIT:  # natural factors: no term cancels later
                 break
-        if reduce(or_, out, 0) & _layout(self.nvars)[1]:
+        hi, guard = hi1 + hi2, _layout(self.nvars)[1]
+        # a monomial passes DEGREE_LIMIT only if the highest exponents do; one
+        # that the loop stopped before reaching leaves the term limit's error
+        if hi & guard and reduce(or_, out, 0) & guard:
             raise SemifieldError("limit", f"a product has an exponent above {DEGREE_LIMIT}")
-        return Poly._of(self.nvars, out)
+        bounds = (d1 + d2, lo1 + lo2, hi, one1 * one2, two1 * two2) if out else None
+        return Poly._of(self.nvars, out, bounds)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -471,7 +528,13 @@ class Poly:
                     del rem[key]
                 else:
                     rem[key] = v - qc * c
-        return Poly._of(self.nvars, quo)
+        bounds = None
+        if quo and self._bounds is not None and other._bounds is not None:
+            d1, lo1, hi1, one1, two1 = self._bounds
+            d2, lo2, hi2, one2, two2 = other._bounds
+            if one2 and two2:  # else the quotient's values are not determined
+                bounds = (d1 - d2, lo1 - lo2, hi1 - hi2, one1 // one2, two1 // two2)
+        return Poly._of(self.nvars, quo, bounds)
 
     def evaluate(
         self, model: Semifield | SymbolicSemifield, values: list[SemifieldValue]
@@ -642,13 +705,21 @@ class SymRat(SemifieldValue):
         there is no quotient in Z[x] at all, so the filter skips exactly
         attempts that would fail and the representative is unchanged.
         """
+        if not (num and den):
+            return num, den
+        guard = _layout(num[0].nvars)[1]
         changed = True
         while changed:
             changed = False
-            for i, f in enumerate(num):
-                for j, g in enumerate(den):
-                    big, small = (f, g) if f.degree() >= g.degree() else (g, f)
-                    if not big._may_divide(small):
+            num_bounds = [f._invariants() for f in num]
+            den_bounds = [g._invariants() for g in den]
+            for i, (f, fb) in enumerate(zip(num, num_bounds)):
+                for j, (g, gb) in enumerate(zip(den, den_bounds)):
+                    if fb[0] >= gb[0]:
+                        big, small, allowed = f, g, _may_divide(fb, gb, guard)
+                    else:
+                        big, small, allowed = g, f, _may_divide(gb, fb, guard)
+                    if not allowed:
                         continue
                     q = big.exact_div(small)
                     if q is None or not q.has_nonnegative_coefficients():
@@ -688,7 +759,7 @@ class SymRat(SemifieldValue):
         )
         kc = math.gcd(ka, kb)
         content, summed = (
-            _expand(self.nvars, ka // kc, s1) + _expand(self.nvars, kb // kc, s2)
+            _expand(self.nvars, ka // kc, s1)._natural_sum(_expand(self.nvars, kb // kc, s2))
         ).primitive()
         if not summed.has_nonnegative_coefficients():
             raise SemifieldError("negative-coefficients", "symbolic values must stay subtraction-free")
@@ -736,6 +807,8 @@ class SymRat(SemifieldValue):
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SymRat):
             return NotImplemented
         if self.model != other.model:

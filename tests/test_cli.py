@@ -6,9 +6,11 @@ import time
 import pytest
 
 from foldline.cartan import RANK_LIMIT
+from foldline.checks import TRIALS_LIMIT
 from foldline.cli import main
 from foldline.exprs import FACTOR_LIMIT, NESTING_LIMIT
 from foldline.semifield import TERM_LIMIT
+from foldline.weyl import ENUMERATION_LIMIT
 
 
 def run(capsys, *argv):
@@ -497,6 +499,45 @@ class TestLimits:
         dot = doc["payload"]["dot"]
         assert code == 0
         assert dot.count("[label=") - dot.count("->") == 4**6
+
+    COUNTED = ("tropical-b2", "monoid", "frobenius", "crystal")
+
+    @pytest.mark.parametrize("check", (*COUNTED, "all"))
+    @pytest.mark.parametrize("trials", (TRIALS_LIMIT + 1, 100_000_000))
+    def test_trials_past_the_limit(self, capsys, check, trials):
+        # unbounded, --trials 100000000 ran past a 20 s timeout
+        code, doc = self.run_limited(capsys, "verify", check, "--trials", str(trials))
+        assert (code, doc["kind"]) == (1, "limit")
+
+    @pytest.mark.parametrize("check", COUNTED)
+    def test_trials_at_the_limit(self, capsys, check):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "verify", check, "--trials", str(TRIALS_LIMIT))
+        assert time.perf_counter() - start < 5.0  # about 1 s, on a shared host
+        assert (code, doc["payload"]["ok"]) == (0, True)
+
+    @pytest.mark.parametrize("cap", ("0", "-5"))
+    def test_cap_below_one_is_a_usage_error(self, capsys, cap):
+        code, doc = run_json(capsys, "words", "enumerate", "--cap", cap)
+        assert (code, doc["kind"]) == (2, "usage")
+        assert doc["message"] == f"--cap must be at least 1, got {cap}"
+
+    @pytest.mark.parametrize("cap", (ENUMERATION_LIMIT + 1, 10**12))
+    def test_cap_past_the_enumeration_limit(self, capsys, cap):
+        # A6 has about 1.1e9 reduced words: with the cap passed, the listing
+        # died with a MemoryError under an 800 MB address-space limit
+        code, doc = self.run_limited(
+            capsys, "words", "enumerate", "--datum", "A6", "--cap", str(cap)
+        )
+        assert (code, doc["kind"]) == (1, "limit")
+
+    def test_cap_at_the_enumeration_limit(self, capsys):
+        code, doc = self.run_limited(
+            capsys, "words", "enumerate", "--datum", "A3", "--cap", str(ENUMERATION_LIMIT)
+        )
+        assert (code, doc["payload"]["count"]) == (0, 16)
+        code, doc = self.run_limited(capsys, "words", "enumerate", "--datum", "A5")
+        assert (code, doc["kind"]) == (1, "cap-exceeded")  # 292,864 words
 
     def test_braid_path_search_past_the_word_limit(self, capsys):
         # the first D5 path search visits more than BFS_WORD_LIMIT words;

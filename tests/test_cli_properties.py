@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from foldline.cartan import builtin
 from foldline.cli import main
 from foldline.folding import standard_folding
-from foldline.weyl import base_word, enumerate_reduced_words
+from foldline.weyl import ENUMERATION_LIMIT, base_word, enumerate_reduced_words
 
 DATA = ("A2", "A3", "B:n=2", "A4+flip", "D4+triality")
 MODELS = ("a3", "a4", "d4")
@@ -106,8 +106,8 @@ def datum_command(draw):
     label = draw(_mostly(st.sampled_from(labels), st.just("9")))
     semifield = draw(st.sampled_from(SEMIFIELDS))
     flag = f"--datum={name}"
-    kind = draw(st.sampled_from(("transition", "read", "neighbors", "mul", "lstring",
-                                 "frobenius", "crystal-graph")))
+    kind = draw(st.sampled_from(("transition", "read", "neighbors", "enumerate", "mul",
+                                 "lstring", "frobenius", "crystal-graph")))
     if kind == "transition":
         return ["transition", flag, f"--from={draw(words(name))}", f"--to={draw(words(name))}",
                 f"--coords={draw(coords(length, semifield))}", f"--semifield={semifield}"]
@@ -117,6 +117,11 @@ def datum_command(draw):
                 f"--semifield={semifield}"]
     if kind == "neighbors":
         return ["words", "neighbors", flag, f"--word={draw(words(name))}"]
+    if kind == "enumerate":
+        cap = st.sampled_from(
+            tuple(map(str, (-5, 0, 1, 16, 2316, ENUMERATION_LIMIT, ENUMERATION_LIMIT + 1, 10**12)))
+        )
+        return ["words", "enumerate", flag, f"--cap={draw(_mostly(cap, wild_numbers))}"]
     element = coords(length, "tropn")
     if kind == "mul":
         return ["monoid", "mul", flag, f"--left={draw(element)}", f"--right={draw(element)}"]

@@ -370,6 +370,22 @@ class TestChainCertificates:
             verify_chain_data(data)
         assert error.value.kind == "not-reduced"
 
+    @pytest.mark.parametrize("chain_id, parses", [("b2-from-a3", 16), ("b2-from-a4", 26)])
+    def test_each_expression_is_parsed_once(self, monkeypatch, chain_id, parses):
+        """Two abbreviations and each distinct line expression (14 and 24),
+        not every expression of every line (38 and 242 parses)."""
+        from foldline import folding
+
+        parse_value, texts = folding.parse_value, []
+
+        def counted(text, *args):
+            texts.append(text)
+            return parse_value(text, *args)
+
+        monkeypatch.setattr(folding, "parse_value", counted)
+        assert verify_chain(chain_id).ok
+        assert len(texts) == len(set(texts)) == parses
+
     def test_unknown_chain(self):
         with pytest.raises(FoldingError) as error:
             verify_chain("b2-from-e8")

@@ -1,6 +1,7 @@
 """Properties of the package source itself, read from its syntax trees."""
 
 import ast
+import sys
 from pathlib import Path
 
 import foldline
@@ -65,3 +66,27 @@ def test_every_input_limit_is_documented():
     ]
     assert len(limits) >= 7
     assert [name for name in limits if f"`{name}`" not in readme] == []
+
+
+def _foreign_imports(tree):
+    """Absolute imports of modules that are neither foldline nor stdlib."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [
+        name for name in names
+        if name.split(".")[0] not in sys.stdlib_module_names | {"foldline"}
+    ]
+
+
+def test_runtime_needs_only_the_standard_library():
+    foreign = {
+        str(path.relative_to(SOURCE)): _foreign_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SOURCE.rglob("*.py"))
+    }
+    assert sum(map(len, foreign.values())) == 0, foreign
+    planted = ast.parse("import json\nfrom . import weyl\nimport hypothesis\n")
+    assert _foreign_imports(planted) == ["hypothesis"]

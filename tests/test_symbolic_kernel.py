@@ -3,7 +3,9 @@
 ``SymRat._division_cancel`` tries ``Poly.exact_div`` only on factor pairs
 that ``Poly._may_divide`` lets through, and ``SymRat`` powers repeat the
 factor multisets in place of k - 1 products.  Both must leave every
-representative ``(cnum, fnum, cden, fden)`` exactly as it was.
+representative ``(cnum, fnum, cden, fden)`` exactly as it was.  The
+filter's invariants, carried through products, sums, primitive parts and
+quotients, must be those a scan of the polynomial's terms finds.
 """
 
 import functools
@@ -11,6 +13,7 @@ import itertools
 import operator
 import random
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from foldline import folding
@@ -135,7 +138,7 @@ def sym_coords(n):
     return tuple(model.var(v) for v in model.variables)
 
 
-def test_every_a3_word_pair(monkeypatch):
+def a3_word_pairs():
     datum, _ = builtin("A3")
     words = [word_for_w0(datum, letters) for letters in enumerate_reduced_words(datum).vertices]
     coords = sym_coords(len(words[0]))
@@ -144,10 +147,10 @@ def test_every_a3_word_pair(monkeypatch):
         for start, goal in itertools.product(words, repeat=2):
             transition(DecoratedWord(start, coords), goal)
 
-    assert_same_as_reference(monkeypatch, run)
+    return run
 
 
-def test_seeded_a4_and_d4_round_trips(monkeypatch):
+def a4_and_d4_round_trips():
     rng = random.Random(13)
     pairs = []
     for name in ("A4", "D4+triality"):
@@ -161,10 +164,10 @@ def test_seeded_a4_and_d4_round_trips(monkeypatch):
             out = transition(DecoratedWord(start, sym_coords(len(start))), goal)
             transition(out, start)
 
-    assert_same_as_reference(monkeypatch, run)
+    return run
 
 
-def test_g2_fold_chains_and_compare_models(monkeypatch):
+def g2_fold_chains_and_compare_models():
     g2 = folding.standard_folding("d4")
     words = (("1", "2") * 3, ("2", "1") * 3)
     b2 = SymbolicSemifield(tuple("abcd"))
@@ -177,4 +180,70 @@ def test_g2_fold_chains_and_compare_models(monkeypatch):
             assert folding.verify_chain(chain_id).ok
         assert folding.compare_models(tuple(b2.var(v) for v in "dcba"))["ok"]
 
-    assert_same_as_reference(monkeypatch, run)
+    return run
+
+
+def test_every_a3_word_pair(monkeypatch):
+    assert_same_as_reference(monkeypatch, a3_word_pairs())
+
+
+def test_seeded_a4_and_d4_round_trips(monkeypatch):
+    assert_same_as_reference(monkeypatch, a4_and_d4_round_trips())
+
+
+def test_g2_fold_chains_and_compare_models(monkeypatch):
+    assert_same_as_reference(monkeypatch, g2_fold_chains_and_compare_models())
+
+
+# ---------------------------------------------------------------------------
+# Carried invariants against a scan of the terms
+
+
+def assert_carried(polys):
+    """Each polynomial already holds its invariants, and they are those of
+    a new polynomial with the same terms, which scans them."""
+    for p in polys:
+        assert p._bounds is not None
+        assert p._bounds == Poly(p.nvars, p.terms)._invariants()
+
+
+@pytest.mark.parametrize(
+    "runs", (a3_word_pairs, a4_and_d4_round_trips, g2_fold_chains_and_compare_models)
+)
+def test_every_built_factor_carries_its_invariants(monkeypatch, runs):
+    log, _ = built_values(monkeypatch, runs())
+    factors = {id(f): f for _, fnum, _, fden in log for f in fnum + fden}
+    assert len(factors) > 50
+    assert_carried(factors.values())
+
+
+@seed(20083)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from((operator.add, operator.mul, operator.truediv)),
+            st.integers(0, 5),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_drawn_values_carry_their_invariants(steps):
+    x, y, z = SYM.vars().values()
+    leaves = (x, y, z, SYM.from_int(3), x + y, x * y + 2 * z)
+    value = x
+    for op, k, left in steps:
+        value = op(value, leaves[k]) if left else op(leaves[k], value)
+        assert_carried(value.fnum + value.fden)
+
+
+@seed(20084)
+@settings(max_examples=300, deadline=None)
+@given(natural_polys, natural_polys)
+def test_kernel_operations_carry_invariants(a, b):
+    product = a * b
+    total = a._natural_sum(b)
+    assert_carried((product, total, total.primitive()[1], a.primitive()[1]))
+    assert_carried((product.exact_div(b), product.exact_div(a)))

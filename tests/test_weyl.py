@@ -129,6 +129,15 @@ class TestEnumeration:
             enumerate_reduced_words(datum, cap=100)
         assert error.value.kind == "cap-exceeded"
 
+    def test_enumeration_limit(self):
+        """B4's 24,024 words fit under the default cap, the limit itself;
+        a larger cap is refused before any counting."""
+        datum, _ = builtin("B:n=4")
+        assert len(enumerate_reduced_words(datum).vertices) == 24_024 <= weyl.ENUMERATION_LIMIT
+        with pytest.raises(WordError) as error:
+            enumerate_reduced_words(builtin("A6")[0], cap=weyl.ENUMERATION_LIMIT + 1)
+        assert error.value.kind == "limit"
+
     def test_base_word(self):
         datum, _ = builtin("A3")
         assert base_word(datum).letters == ("1", "2", "1", "3", "2", "1")
