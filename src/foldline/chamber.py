@@ -25,21 +25,19 @@ w_0 is an involution.  So the last coordinate at an i-last word is the
 first coordinate of the reversed decorated word at an i-first word, and
 :func:`rho_coord` is read that way.
 
-Transition paths are found by breadth-first search in the braid-move graph
-with lexicographically smallest neighbors first.  The move rule is
-``weyl._braid_move``, shared by the search and by the checks here; the
-search reads each word's neighbours pre-sorted from the bounded table
-``weyl._neighbor_letters``.  A word pair has one program, found from the
-smaller word (plain tuple order) and kept in a bounded cache per (datum,
-smaller, larger): the path compiled into a flat tuple of ints (``k0`` for
-a 2-move at 0-based position k0, ``~k0`` for a 3-move), checked move by
-move in both directions once.  Both moves are involutions at their
-position, so the other direction runs the program reversed.
-:func:`transport` runs a program over a list in one
-loop: plain ints with (min, +, -) for the tropical models, the values' own
-``+ * /`` otherwise.  :func:`transition` validates once on entry and builds
-one decorated word at the end; :func:`apply_move` stays the single-move API,
-and replaying :func:`move_path` through it gives the move-by-move trace.
+Coordinates move in one place, the kernel ``_run``: one loop over a
+program, a flat tuple of ints (``k0`` for a 2-move at 0-based position k0,
+``~k0`` for a 3-move), moving plain ints by (min, +, -) for the tropical
+models and other values by their own ``+ * /``.  :func:`apply_move` checks
+its move and runs a one-move program; :func:`transport` and
+:func:`transition` run a word pair's program, and replaying
+:func:`move_path` through :func:`apply_move` gives the move-by-move trace.
+The path search is one block: BFS (``_bfs_path``) over a bounded table of
+each word's braid neighbours (``_neighbor_letters``, by the move rule of
+:mod:`foldline.weyl`), smallest first.  A word pair has one path, found
+from the smaller word (plain tuple order) and checked move by move in both
+directions once; both moves are involutions at their position, so the
+other direction runs it reversed.  ``_program`` caches both directions.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from typing import Sequence
 from .cartan import CartanDatum, DiagramAutomorphism
 from .errors import WordError
 from .semifield import SemifieldValue, TropInt
-from .weyl import Word, _braid_move, _neighbor_letters, base_word, word_for_w0
+from .weyl import Word, _braid_move, _braid_moves, base_word, word_for_w0
 from .weyl import reduced_word_for_w0_starting_with
 
 
@@ -90,6 +88,8 @@ def decorated(datum: CartanDatum, letters: Sequence[str], coords) -> DecoratedWo
 
 def _check_move(datum: CartanDatum, letters: tuple[str, ...], k: int, r: int):
     """Validate the braid move (k, r) on letters; returns the letters after it."""
+    if type(k) is not int or type(r) is not int:
+        raise WordError("invalid-move", f"a move is two ints (k, r), got ({k!r}, {r!r})")
     if r not in (2, 3):
         raise WordError("invalid-move", f"elementary moves have r in {{2, 3}}, got {r}")
     if k < 1 or k + r - 1 > len(letters):
@@ -100,18 +100,31 @@ def _check_move(datum: CartanDatum, letters: tuple[str, ...], k: int, r: int):
     return move[1]
 
 
+def _run(program: tuple[int, ...], values: list) -> list:
+    """Run a program on a list in place, and return it: the only code that
+    moves coordinates.  Plain ints move by (min, +, -), others by +, *, /."""
+    tropical = bool(values) and type(values[0]) is int
+    for op in program:
+        if op >= 0:
+            values[op], values[op + 1] = values[op + 1], values[op]
+            continue
+        k0 = ~op
+        k1, k2 = k0 + 1, k0 + 2  # indexed, not sliced: slicing costs more than the arithmetic
+        x, y, z = values[k0], values[k1], values[k2]
+        if tropical:
+            s = x if x < z else z
+            values[k0], values[k1], values[k2] = y + z - s, s, x + y - s
+        else:
+            s = x + z
+            values[k0], values[k1], values[k2] = y * z / s, s, x * y / s
+    return values
+
+
 def apply_move(dw: DecoratedWord, k: int, r: int) -> DecoratedWord:
     """Apply the braid move at 1-based position k with length r in {2, 3}."""
     new_letters = _check_move(dw.datum, dw.word.letters, k, r)
-    k0 = k - 1
-    if r == 2:
-        moved = (dw.coords[k0 + 1], dw.coords[k0])
-    else:
-        x, y, z = dw.coords[k0 : k0 + 3]
-        s = x + z
-        moved = (y * z / s, s, x * y / s)
-    new_coords = dw.coords[:k0] + moved + dw.coords[k0 + r :]
-    return DecoratedWord(Word(dw.datum, new_letters), new_coords)
+    new_coords = _run((k - 1 if r == 2 else ~(k - 1),), list(dw.coords))
+    return DecoratedWord(Word(dw.datum, new_letters), tuple(new_coords))
 
 
 def _require_simply_laced(datum: CartanDatum) -> None:
@@ -127,6 +140,17 @@ def _require_simply_laced(datum: CartanDatum) -> None:
 # ends in kind limit in about a second instead of minutes and gigabytes.
 BFS_WORD_LIMIT = 20_000
 
+# Holds every word of A4 (768) and D4 (2,316) at once, so repeated path
+# searches there stay warm; a search in a larger type cannot grow it further.
+_NEIGHBOR_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_NEIGHBOR_CACHE_SIZE)
+def _neighbor_letters(datum: CartanDatum, letters: tuple[str, ...]):
+    """The braid neighbours of a word as sorted (letters, k, r) triples:
+    the order in which the path search visits them."""
+    return tuple(sorted(_braid_moves(datum, letters)))
+
 
 def _bfs_path(
     datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]
@@ -134,25 +158,22 @@ def _bfs_path(
     """A braid-move path start -> goal as (k, r) pairs, via BFS."""
     if start == goal:
         return ()
-    parents: dict[tuple[str, ...], tuple[tuple[str, ...], int, int]] = {}
-    seen = {start}
+    parents: dict[tuple[str, ...], tuple[tuple[str, ...], int, int] | None] = {start: None}
     queue = deque([start])
     while queue:
-        if len(seen) > BFS_WORD_LIMIT:
+        if len(parents) > BFS_WORD_LIMIT:
             raise WordError(
                 "limit", f"the braid path search visited more than {BFS_WORD_LIMIT} words"
             )
         current = queue.popleft()
         for letters, k, r in _neighbor_letters(datum, current):
-            if letters in seen:
+            if letters in parents:
                 continue
-            seen.add(letters)
             parents[letters] = (current, k, r)
             if letters == goal:
                 path = []
-                node = goal
-                while node != start:
-                    node, k, r = parents[node]
+                while letters != start:
+                    letters, k, r = parents[letters]
                     path.append((k, r))
                 return tuple(reversed(path))
             queue.append(letters)
@@ -167,13 +188,16 @@ _PROGRAM_CACHE_SIZE = 1024
 def _program(
     datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]
 ) -> tuple[int, ...]:
-    """The BFS path start -> goal for start <= goal, as a flat program.
+    """The BFS path start -> goal as a flat program, found from the smaller
+    word of the pair.
 
     Each op is k0 (a 2-move at 0-based position k0) or ~k0 (a 3-move).
     Every move is its own inverse at the same position, so the reversed
     program leads goal -> start; both directions are checked move by move
-    here, once per word pair.
+    here, once per word pair, and the other direction is the reversal.
     """
+    if goal < start:
+        return _program(datum, goal, start)[::-1]
     _require_simply_laced(datum)
     path = _bfs_path(datum, start, goal)
     for letters, end, moves in ((start, goal, path), (goal, start, path[::-1])):
@@ -188,8 +212,7 @@ def move_path(
     datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]
 ) -> tuple[tuple[int, int], ...]:
     """The braid-move path between two reduced words, as 1-based (k, r) pairs."""
-    start, goal = tuple(start), tuple(goal)
-    program = _program(datum, start, goal) if start <= goal else _program(datum, goal, start)[::-1]
+    program = _program(datum, tuple(start), tuple(goal))
     return tuple((~op + 1, 3) if op < 0 else (op + 1, 2) for op in program)
 
 
@@ -202,29 +225,14 @@ def transport(
     other values move with their own +, *, /.  Both words must be reduced
     words for w_0 of the datum.
     """
-    start, goal = tuple(start), tuple(goal)
-    # the word pair's one program, reversed when goal is the smaller word
-    program = _program(datum, start, goal) if start <= goal else _program(datum, goal, start)[::-1]
+    start = tuple(start)
+    program = _program(datum, start, tuple(goal))
     out = list(values)
     if len(out) != len(start):
         raise WordError(
             "coords-length", f"{len(start)} letters but {len(out)} coordinates"
         )
-    tropical = bool(out) and type(out[0]) is int
-    for op in program:
-        if op >= 0:
-            out[op], out[op + 1] = out[op + 1], out[op]
-            continue
-        k0 = ~op
-        k1, k2 = k0 + 1, k0 + 2  # indexed, not sliced: slicing costs more than the arithmetic
-        x, y, z = out[k0], out[k1], out[k2]
-        if tropical:
-            s = x if x < z else z
-            out[k0], out[k1], out[k2] = y + z - s, s, x + y - s
-        else:
-            s = x + z
-            out[k0], out[k1], out[k2] = y * z / s, s, x * y / s
-    return out
+    return _run(program, out)
 
 
 def transition(dw: DecoratedWord, to_word: Word) -> DecoratedWord:
@@ -233,13 +241,13 @@ def transition(dw: DecoratedWord, to_word: Word) -> DecoratedWord:
     _require_simply_laced(datum)
     if to_word.datum != datum:
         raise WordError("datum-mismatch", "target word belongs to a different datum")
-    start, goal = dw.word.letters, to_word.letters
+    program = _program(datum, dw.word.letters, to_word.letters)
     coords = dw.coords
     if coords and isinstance(coords[0], TropInt):
         # moves keep naturals natural; the TropNat wrap still checks the range
-        moved = transport(datum, start, goal, [c.n for c in coords])
+        moved = _run(program, [c.n for c in coords])
         return DecoratedWord(to_word, tuple(map(type(coords[0]), moved)))
-    return DecoratedWord(to_word, tuple(transport(datum, start, goal, coords)))
+    return DecoratedWord(to_word, tuple(_run(program, list(coords))))
 
 
 def canonical(dw: DecoratedWord) -> DecoratedWord:

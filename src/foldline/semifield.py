@@ -450,12 +450,18 @@ class Poly:
         out: dict[int, int] = {}
         get = out.get
         right = other.packed.items()
+        natural = None  # tested only once the product is past the term limit
         for e1, c1 in self.packed.items():
             for e2, c2 in right:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-            if len(out) > TERM_LIMIT:  # natural factors: no term cancels later
-                break
+            if len(out) > TERM_LIMIT:
+                if natural is None:
+                    natural = all(
+                        p.has_nonnegative_coefficients() for p in (self, other)
+                    )
+                if natural:  # no natural term cancels, so it stays past the limit
+                    break
         hi, guard = hi1 + hi2, _layout(self.nvars)[1]
         # a monomial passes DEGREE_LIMIT only if the highest exponents do; one
         # that the loop stopped before reaching leaves the term limit's error

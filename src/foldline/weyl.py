@@ -15,9 +15,9 @@ alternating segment (p, p', p, ...) of length h(p, p') by the segment
 starting with p'.  By the Iwahori-Tits theorem this graph is connected;
 construction asserts it.  Positions in moves are 1-based, matching the
 usual notation for places k, k+1, ..., k+r-1 in a word.  The move rule is
-defined once, in ``_braid_move``: :func:`braid_neighbors`, the move checks
-in :mod:`foldline.chamber` and its path search's bounded neighbour table
-``_neighbor_letters``, pre-sorted in visiting order, all use it.
+defined once, in ``_braid_move``; ``_braid_moves`` lists a word's moves by
+it for :func:`braid_neighbors`, the graph's edges and :mod:`foldline.chamber`,
+which holds the move checks and all of the braid path search.
 """
 
 from __future__ import annotations
@@ -178,31 +178,21 @@ def _braid_move(datum: CartanDatum, letters: tuple[str, ...], k0: int):
     return r, letters[:k0] + (q, p) * half + (q,) * odd + letters[k0 + r :]
 
 
+def _braid_moves(datum: CartanDatum, letters: tuple[str, ...]):
+    """Every braid move on letters, as (letters after it, position k, length r)."""
+    for k0 in range(len(letters) - 1):
+        move = _braid_move(datum, letters, k0)
+        if move is not None:
+            yield move[1], k0 + 1, move[0]
+
+
 def braid_neighbors(word: Word) -> list[tuple[Word, int, int]]:
     """All words one braid move away, as (word, position k, move length r).
 
     Positions are 1-based; the changed segment is k..k+r-1.
     """
-    out = []
-    for k0 in range(len(word.letters) - 1):
-        move = _braid_move(word.datum, word.letters, k0)
-        if move is not None:
-            r, letters = move
-            out.append((Word(word.datum, letters), k0 + 1, r))
-    return out
-
-
-# Holds every word of A4 (768) and D4 (2,316) at once, so repeated path
-# searches there stay warm; a search in a larger type cannot grow it further.
-_NEIGHBOR_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_NEIGHBOR_CACHE_SIZE)
-def _neighbor_letters(datum: CartanDatum, letters: tuple[str, ...]):
-    """The braid neighbours of a word as sorted (letters, k, r) triples:
-    the order in which the path search visits them."""
-    moves = ((k0 + 1, _braid_move(datum, letters, k0)) for k0 in range(len(letters) - 1))
-    return tuple(sorted((move[1], k, move[0]) for k, move in moves if move is not None))
+    moves = _braid_moves(word.datum, word.letters)
+    return [(Word(word.datum, letters), k, r) for letters, k, r in moves]
 
 
 def _count_words(datum: CartanDatum, rho: tuple[int, ...], memo: dict, cap: int) -> int:
@@ -271,7 +261,7 @@ def enumerate_reduced_words(datum: CartanDatum, cap: int = ENUMERATION_LIMIT) ->
     index = {letters: i for i, letters in enumerate(vertices)}
     edges = set()
     for letters, a in index.items():
-        for other, k, r in _neighbor_letters(datum, letters):
+        for other, k, r in _braid_moves(datum, letters):
             b = index[other]
             edges.add((min(a, b), max(a, b), k, r))
     graph = WordGraph(datum, vertices, tuple(sorted(edges)))

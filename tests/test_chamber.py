@@ -9,7 +9,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldline import weyl
+from foldline import chamber
 from foldline.cartan import builtin, load_datum_file
 from foldline.chamber import (
     BFS_WORD_LIMIT,
@@ -78,6 +78,9 @@ class TestMoves:
             (5, 3, "move (5, 3) does not fit the word"),
             (2, 3, "no braid move of length 3 at position 2"),  # 2,1,3 does not alternate
             (1, 2, "no braid move of length 2 at position 1"),  # 1, 2 are joined: h = 3
+            (1, 3.0, "a move is two ints (k, r), got (1, 3.0)"),
+            (1.0, 3, "a move is two ints (k, r), got (1.0, 3)"),
+            (True, 3, "a move is two ints (k, r), got (True, 3)"),  # not position 1
         ],
     )
     def test_invalid_move(self, k, r, message):
@@ -160,9 +163,9 @@ class TestTransition:
             move_path(a5, base_word(a5).letters, largest)
         assert error.value.kind == "limit"
         assert time.perf_counter() - start < 10.0
-        info = weyl._neighbor_letters.cache_info()
-        assert info.maxsize == weyl._NEIGHBOR_CACHE_SIZE
-        assert info.currsize <= weyl._NEIGHBOR_CACHE_SIZE
+        info = chamber._neighbor_letters.cache_info()
+        assert info.maxsize == chamber._NEIGHBOR_CACHE_SIZE
+        assert info.currsize <= chamber._NEIGHBOR_CACHE_SIZE
 
     @pytest.mark.parametrize("name", ["A3", "A4", "D4+triality"])
     def test_paths_match_the_reference_search(self, name):

@@ -136,3 +136,16 @@ def test_division_of_a_large_product_is_not_quadratic():
         best = min(best, time.perf_counter() - start)
     assert quotient == p
     assert best < 0.2
+
+
+def test_a_signed_product_past_the_term_limit_is_whole():
+    """A product stops at the term limit only for natural factors: signed
+    terms can pass the limit part-way and cancel back under it."""
+    signed = {(0,): 1, (1,): -1, (2,): 1}
+    long = {(k,): 1 for k in range(20_000)}
+    product = Poly(1, signed) * Poly(1, long)
+    assert len(product.packed) == 20_000
+    assert product.terms == ref_mul(signed, long)
+    with pytest.raises(SemifieldError) as error:
+        Poly(1, {(0,): 1, (1,): 1, (2,): 1}) * Poly(1, long)
+    assert error.value.kind == "limit"

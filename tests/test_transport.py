@@ -3,7 +3,18 @@
 The reference route replays ``move_path`` through ``apply_move`` on
 semifield values, one decorated word per move; the fast route is
 ``transport`` (raw ints for the tropical models) behind ``transition``
-and the monoid.
+and the monoid.  Both routes share one path and one kernel,
+``chamber._run``, so a replay is an independent check only where the
+two take different branches of it:
+
+* ``tropz`` and ``tropn``: ``transition`` moves raw ints by the kernel's
+  (min, +, -) branch, while the replay moves ``TropInt`` values by their
+  own min-plus operators through its value branch;
+* ``rat`` and ``sym``: both routes run the value branch, so here the
+  replay checks only the programs and their orientation.  The 3-move
+  itself is checked by the literal values of ``TestMoves`` in
+  ``tests/test_chamber.py``, the chain certificates and the
+  total-positivity oracle in ``tests/test_total_positivity.py``.
 """
 
 import itertools

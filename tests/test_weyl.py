@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from foldline import checks, weyl
+from foldline import chamber, checks, weyl
 from foldline.cartan import builtin, fold, h_value
 from foldline.errors import DatumError, WordError
 from foldline.folding import standard_folding
@@ -170,13 +170,17 @@ class TestBraidMoves:
     @pytest.mark.parametrize("name", ["A3", "A4", "D4+triality", "B:n=2", "B:n=3"])
     def test_neighbors_match_the_reference_rule(self, name):
         """braid_neighbors keeps the reference order; the path search's
-        table holds the same moves, sorted."""
+        table holds the same moves, sorted.  Listing the words leaves that
+        table alone: a B4 listing would push its 24,024 words through it."""
         datum, _ = builtin(name)
-        for letters in enumerate_reduced_words(datum).vertices:
+        before = chamber._neighbor_letters.cache_info()
+        words = enumerate_reduced_words(datum).vertices
+        assert chamber._neighbor_letters.cache_info() == before
+        for letters in words:
             expected = reference_braid_neighbors(datum, letters)
             word = word_for_w0(datum, letters)
             assert [(w.letters, k, r) for w, k, r in braid_neighbors(word)] == expected
-            assert weyl._neighbor_letters(datum, letters) == tuple(sorted(expected))
+            assert chamber._neighbor_letters(datum, letters) == tuple(sorted(expected))
 
     def test_a2_neighbors(self):
         datum, _ = builtin("A2")
