@@ -10,6 +10,7 @@ domain errors exit 1.  Output is deterministic for fixed inputs and
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -87,9 +88,17 @@ def _datum_of(args) -> tuple:
     return builtin(name or "A2")
 
 
+# Encoder chunks joined per write: a large document is never held whole as
+# text, and writing chunk by chunk would cost a call each.
+_CHUNKS_PER_WRITE = 1024
+
+
 def _print_json(document: dict) -> None:
     """The one printer of every JSON document the CLI writes."""
-    print(json.dumps(document, indent=2, sort_keys=True))
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
+    while batch := list(itertools.islice(chunks, _CHUNKS_PER_WRITE)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 def _emit(payload, trace=None) -> int:

@@ -15,12 +15,15 @@ Left multiplication by xi_i^n replaces the first coordinate c_1 by
 min(n, c_1) in any word starting with i.  A product m1 m2 is m1's generator
 string acting on m2, last letter first.  Transition maps compose, so the
 raw int coordinates move straight from one i-first word to the next, with
-one min per letter, and back to the base word once at the end: an N-letter
-left factor costs N + 1 transports and builds one element.
+one min per letter, and back to the base word once at the end.  The walk
+only ever moves between the base word and the i-first words, so each datum
+keeps one table of the compiled programs between them (``_walk_table``):
+an N-letter left factor costs N + 1 kernel runs of cached programs and
+builds one element.
 
 Relations (i)-(iii) read the same backwards (swap a and c in (iii)), so
 reading the generator string of m backwards is an anti-automorphism
-:func:`reverse`, costing one transport.  Every right-hand operation is its
+:func:`reverse`, costing one kernel run.  Every right-hand operation is its
 left twin conjugated by it: m xi_i^n = reverse(xi_i^n reverse(m)), and
 r_i(m) = l_i(reverse(m)).
 
@@ -38,6 +41,7 @@ ints at the cached unfolded word of :mod:`foldline.folding`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import chamber, folding
@@ -64,7 +68,7 @@ class MonoidElement:
 
     def __post_init__(self):
         # exactly int: a bool (or any int subclass) would take the rational
-        # branch of chamber.transport
+        # branch of chamber._run
         if any(type(c) is not int or c < 0 for c in self.coords):
             raise MonoidError("bad-coords", "normal-form coordinates must be naturals")
         if len(self.coords) != len(base_word(self.datum).letters):
@@ -81,36 +85,71 @@ class MonoidElement:
         return str(self.decorated())
 
 
-def _coords_at(m: MonoidElement, word: Word) -> list[int]:
-    return chamber.transport(m.datum, m.word.letters, word.letters, m.coords)
+# Data whose walk tables stay cached at once, as for weyl's per-datum tables.
+_WALK_TABLE_DATA = 64
 
 
-def _from_word_coords(datum: CartanDatum, word: Word, coords: Sequence[int]) -> MonoidElement:
-    at_base = chamber.transport(datum, word.letters, base_word(datum).letters, coords)
-    return MonoidElement(datum, tuple(at_base))
+@lru_cache(maxsize=_WALK_TABLE_DATA)
+def _walk_table(datum: CartanDatum) -> dict:
+    """The compiled programs between the words the monoid walks, keyed by
+    (start, goal): None is the base word and a label its i-first word.
+
+    Filled one entry at a time by :func:`_between`, so it holds at most
+    (rank + 1)^2 programs; a label the datum lacks never gets an entry.
+    """
+    return {}
+
+
+def _walk_letters(datum: CartanDatum, key: str | None) -> tuple[str, ...]:
+    word = base_word(datum) if key is None else reduced_word_for_w0_starting_with(datum, key)
+    return word.letters
+
+
+def _between(datum: CartanDatum, start: str | None, goal: str | None) -> tuple[int, ...]:
+    """The program from the walk word keyed start to the one keyed goal."""
+    table = _walk_table(datum)
+    program = table.get((start, goal))
+    if program is None:
+        program = chamber._program(
+            datum, _walk_letters(datum, start), _walk_letters(datum, goal)
+        )
+        table[start, goal] = program
+    return program
+
+
+def _at(m: MonoidElement, i: str) -> list[int]:
+    """m's coordinates at the i-first word, as a new list."""
+    return chamber._run(_between(m.datum, None, i), list(m.coords))
 
 
 def normal_form(datum: CartanDatum, letters: Sequence[str], coords: Sequence[int]) -> MonoidElement:
     """The element with the given coordinates along the given reduced word."""
     naturals = [TropNat(c).n for c in coords]  # typed errors for non-naturals
-    return _from_word_coords(datum, word_for_w0(datum, letters), naturals)
+    word = word_for_w0(datum, letters)
+    return MonoidElement(
+        datum, tuple(chamber.transport(datum, word.letters, base_word(datum).letters, naturals))
+    )
 
 
-def _act(m: MonoidElement, steps: Iterable[tuple[str, int]]) -> MonoidElement:
-    """Act on m with xi_i^n for each step (i, n) in turn; every n a natural.
+def _act(datum: CartanDatum, coords: list[int], steps: Iterable[tuple[str, int]]) -> list[int]:
+    """Act on base-word coordinates with xi_i^n for each step (i, n) in turn;
+    every n a natural.
 
-    The coordinates stay raw ints at the current word: each step moves them
-    straight to an i-first word and mins n into the first one, and the last
-    word moves back to the base word once.
+    The coordinates stay raw ints in one list: each step runs the table's
+    program from the current walk word to the i-first word and mins n into
+    the first coordinate, and the last word moves back to the base word once.
     """
-    datum = m.datum
-    word, coords = m.word, m.coords
+    table = _walk_table(datum)
+    key = None
     for i, n in steps:
-        goal = reduced_word_for_w0_starting_with(datum, i)
-        coords = chamber.transport(datum, word.letters, goal.letters, coords)
-        coords[0] = min(n, coords[0])
-        word = goal
-    return _from_word_coords(datum, word, coords)
+        program = table.get((key, i))
+        if program is None:
+            program = _between(datum, key, i)
+        chamber._run(program, coords)
+        if n < coords[0]:
+            coords[0] = n
+        key = i
+    return chamber._run(_between(datum, key, None), coords)
 
 
 def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
@@ -121,12 +160,17 @@ def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
             "negative-exponent",
             "only exponents n >= 0 stabilize the normal-form submonoid",
         )
-    return _act(m, ((gen.i, gen.n),))
+    return MonoidElement(m.datum, tuple(_act(m.datum, list(m.coords), ((gen.i, gen.n),))))
+
+
+def _moved(datum: CartanDatum, start: tuple[str, ...], coords: Sequence[int]) -> list[int]:
+    """Coordinates at the word start moved to the base word."""
+    return chamber._run(chamber._program(datum, start, base_word(datum).letters), list(coords))
 
 
 def reverse(m: MonoidElement) -> MonoidElement:
     """The anti-automorphism reading m's generator string backwards."""
-    return _from_word_coords(m.datum, m.word.reversed(), m.coords[::-1])
+    return MonoidElement(m.datum, tuple(_moved(m.datum, m.word.letters[::-1], m.coords[::-1])))
 
 
 def right_mul_gen(m: MonoidElement, gen: MonoidGenerator) -> MonoidElement:
@@ -145,17 +189,19 @@ def mul(m1: MonoidElement, m2: MonoidElement) -> MonoidElement:
     """Product in the monoid: act with m1's generator string on m2."""
     if m1.datum != m2.datum:
         raise MonoidError("datum-mismatch", "elements live over different data")
-    return _act(m2, zip(m1.word.letters[::-1], m1.coords[::-1]))
+    steps = zip(m1.word.letters[::-1], m1.coords[::-1])
+    return MonoidElement(m2.datum, tuple(_act(m2.datum, list(m2.coords), steps)))
 
 
 def sigma_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> MonoidElement:
     """The automorphism xi_i^n -> xi_sigma(i)^n on normal forms."""
-    relabeled = Word(m.datum, sigma.apply_word(m.word.letters))
-    return _from_word_coords(m.datum, relabeled, m.coords)
+    relabeled = sigma.apply_word(m.word.letters)
+    return MonoidElement(m.datum, tuple(_moved(m.datum, relabeled, m.coords)))
 
 
 def is_sigma_fixed_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> bool:
-    return sigma_monoid(m, sigma) == m
+    relabeled = sigma.apply_word(m.word.letters)
+    return tuple(_moved(m.datum, relabeled, m.coords)) == m.coords
 
 
 def frobenius(e: int, m: MonoidElement) -> MonoidElement:
@@ -174,23 +220,29 @@ def folded_mul(
 
     Both inputs are natural coordinate vectors on the given folded word;
     they are unfolded, multiplied, checked sigma-fixed, and folded back,
-    all on raw ints at the cached unfolded word.
+    all on raw ints at the cached unfolded word.  The left factor acts with
+    its generator string along the unfolded word, which presents the same
+    element as its string along the base word.
     """
     letters = tuple(letters)
-    elements = []
+    spreads = []
     for coords in (f1, f2):
-        naturals = [TropNat(c).n for c in coords]  # typed errors for non-naturals
+        naturals = list(coords)
+        if not all(type(c) is int and c >= 0 for c in naturals):
+            naturals = [TropNat(c).n for c in naturals]  # typed errors for non-naturals
         _, word, layout = folding._unfolding(fd, letters)
         if len(naturals) != len(layout):
             raise FoldingError(
                 "coords-length", f"{len(layout)} letters but {len(naturals)} coordinates"
             )
-        spread = [c for n, block in zip(naturals, layout) for c in folding._spread(n, block)]
-        elements.append(_from_word_coords(fd.source, word, spread))
-    product = mul(elements[0], elements[1])
-    if not is_sigma_fixed_monoid(product, fd.sigma):
+        spreads.append([c for n, block in zip(naturals, layout) for c in folding._spread(n, block)])
+    source, unfolded = fd.source, word.letters
+    steps = zip(unfolded[::-1], spreads[0][::-1])
+    product = _act(source, _moved(source, unfolded, spreads[1]), steps)
+    if _moved(source, fd.sigma.apply_word(base_word(source).letters), product) != product:
         raise MonoidError("not-sigma-fixed", "product of sigma-fixed elements must be sigma-fixed")
-    return tuple(folding._read_blocks(_coords_at(product, word), layout))
+    at_word = chamber._run(chamber._program(source, base_word(source).letters, unfolded), product)
+    return tuple(folding._read_blocks(at_word, layout))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +251,7 @@ def folded_mul(
 
 def l_coordinate(m: MonoidElement, i: str) -> int:
     """l_i read off coordinates: the first coordinate at an i-first word."""
-    return _coords_at(m, reduced_word_for_w0_starting_with(m.datum, i))[0]
+    return _at(m, i)[0]
 
 
 def _scan(m: MonoidElement, i: str) -> int:
@@ -216,7 +268,7 @@ def _scan(m: MonoidElement, i: str) -> int:
     def fixes(n: int) -> bool:
         return left_mul_gen(MonoidGenerator(i, n), m) == m
 
-    coords = _coords_at(m, reduced_word_for_w0_starting_with(m.datum, i))
+    coords = _at(m, i)
     guess, bound = coords[0], max(coords) + 1
     if fixes(guess) and (guess == 0 or not fixes(guess - 1)):
         return guess
@@ -260,12 +312,11 @@ def raise_to(n: int, m: MonoidElement, i: str) -> MonoidElement:
     TropInt(n)  # typed not-integer error before the sign test, bools included
     if n < 0:
         raise MonoidError("bad-exponent", "the target fiber needs n >= 0")
-    word = reduced_word_for_w0_starting_with(m.datum, i)
-    coords = _coords_at(m, word)
+    coords = _at(m, i)
     if coords[0] != 0:
         raise MonoidError("raise-precondition", f"raise_to needs l_{i}(m) = 0")
     coords[0] = n
-    return _from_word_coords(m.datum, word, coords)
+    return MonoidElement(m.datum, tuple(chamber._run(_between(m.datum, i, None), coords)))
 
 
 def crystal_raise(m: MonoidElement, i: str) -> MonoidElement:

@@ -1,12 +1,16 @@
 """Command-line interface: payload shapes, determinism, error kinds."""
 
+import hashlib
 import json
+import sys
 import time
+import tracemalloc
 
 import pytest
 
 from foldline.cartan import RANK_LIMIT
 from foldline.checks import TRIALS_LIMIT
+from foldline import cli
 from foldline.cli import main
 from foldline.exprs import FACTOR_LIMIT, NESTING_LIMIT
 from foldline.semifield import TERM_LIMIT
@@ -109,6 +113,35 @@ class TestWords:
         )
         assert code == 0
         assert doc["payload"] == [{"word": ["2", "1", "2", "1"], "k": 1, "r": 4}]
+
+
+class TestStreamedOutput:
+    def test_a_large_document_is_never_held_whole_as_text(self, monkeypatch):
+        class Sink:
+            """Hashes what is written and keeps none of it."""
+
+            size, digest = 0, hashlib.sha256()
+
+            def write(self, text):
+                self.size += len(text)
+                self.digest.update(text.encode())
+                return len(text)
+
+        document = {"status": "ok", "payload": {"words": [["1", "2", "1", "3"]] * 20_000}}
+        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        size, digest = len(text), hashlib.sha256(text.encode()).hexdigest()
+        del text
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._print_json(document)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size == size > 10**6
+        assert sink.digest.hexdigest() == digest
+        assert peak < size / 8
 
 
 class TestTransition:

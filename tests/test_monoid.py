@@ -6,13 +6,12 @@ import random
 import pytest
 
 from foldline import chamber
-from foldline.cartan import builtin
+from foldline.cartan import builtin, validate_automorphism
 from foldline.errors import DatumError, FoldingError, MonoidError, SemifieldError, WordError
 from foldline.folding import fold_coordinates, folded_decorated, standard_folding, unfold
 from foldline.monoid import (
     MonoidElement,
     MonoidGenerator,
-    _from_word_coords,
     crystal_graph_dot,
     crystal_raise,
     folded_mul,
@@ -203,16 +202,58 @@ def one_generator_at_a_time(m1, m2):
     return out
 
 
+def at_by_definition(m, word):
+    """m's coordinates at a word, moved as typed decorated words."""
+    return [c.n for c in chamber.transition(m.decorated(), word).coords]
+
+
+def element_by_definition(datum, word, coords):
+    """The element with the given coordinates at a word: the component's
+    typed coordinates at the base word."""
+    moved = chamber.canonical(
+        chamber.DecoratedWord(word, tuple(TropNat(c) for c in coords))
+    )
+    return MonoidElement(datum, tuple(c.n for c in moved.coords))
+
+
 def gen_by_definition(gen, m):
     """xi_i^n m from typed decorated words: min into the first coordinate at
     an i-first word, then the component's coordinates at the base word."""
     word = reduced_word_for_w0_starting_with(m.datum, gen.i)
-    coords = [c.n for c in chamber.transition(m.decorated(), word).coords]
+    coords = at_by_definition(m, word)
     coords[0] = min(gen.n, coords[0])
-    moved = chamber.canonical(
-        chamber.DecoratedWord(word, tuple(TropNat(c) for c in coords))
-    )
-    return MonoidElement(m.datum, tuple(c.n for c in moved.coords))
+    return element_by_definition(m.datum, word, coords)
+
+
+def l_by_definition(m, i):
+    return at_by_definition(m, reduced_word_for_w0_starting_with(m.datum, i))[0]
+
+
+def raise_by_definition(n, m, i):
+    """The first coordinate at an i-first word set from 0 to n."""
+    word = reduced_word_for_w0_starting_with(m.datum, i)
+    coords = at_by_definition(m, word)
+    assert coords[0] == 0, "raise_to needs l_i(m) = 0"
+    coords[0] = n
+    return element_by_definition(m.datum, word, coords)
+
+
+def reverse_by_definition(m):
+    return element_by_definition(m.datum, m.word.reversed(), m.coords[::-1])
+
+
+def folded_mul_by_definition(fd, f1, f2, letters):
+    """Unfold both factors as typed decorated words, multiply one generator
+    at a time by gen_by_definition, and fold the product back."""
+    factors = []
+    for coords in (f1, f2):
+        unfolded = unfold(folded_decorated(fd, letters, tuple(TropNat(c) for c in coords)))
+        factors.append(element_by_definition(fd.source, unfolded.word, [c.n for c in unfolded.coords]))
+    product = factors[1]
+    for gen in reversed(generator_string(factors[0])):
+        product = gen_by_definition(gen, product)
+    assert chamber.is_sigma_fixed(product.decorated(), fd.sigma)
+    return tuple(c.n for c in fold_coordinates(fd, product.decorated(), letters).coords)
 
 
 WALK_DATA = ("A3", "A4", "D4+triality", "A4+flip")
@@ -249,21 +290,21 @@ class TestProductWalk:
         n = len(base_word(datum).letters)
         rng = random.Random(sum(map(ord, name)) + 2)
         m1, m2 = rand_element(rng, datum), rand_element(rng, datum)
-        transports, elements = [], []
-        transport, post_init = monoid.chamber.transport, MonoidElement.__post_init__
+        runs, elements = [], []
+        run, post_init = monoid.chamber._run, MonoidElement.__post_init__
 
-        def counting_transport(*args):
-            transports.append(args[1:3])
-            return transport(*args)
+        def counting_run(program, values):
+            runs.append(program)
+            return run(program, values)
 
         def counting_post_init(self):
             elements.append(self.coords)
             post_init(self)
 
-        monkeypatch.setattr(monoid.chamber, "transport", counting_transport)
+        monkeypatch.setattr(monoid.chamber, "_run", counting_run)
         monkeypatch.setattr(MonoidElement, "__post_init__", counting_post_init)
         product = mul(m1, m2)
-        assert len(transports) == n + 1
+        assert len(runs) == n + 1
         assert elements == [product.coords]
 
     def test_left_mul_gen_exponent_errors(self):
@@ -274,6 +315,97 @@ class TestProductWalk:
         with pytest.raises(SemifieldError) as error:
             left_mul_gen(MonoidGenerator("2", 1.5), m)
         assert error.value.kind == "not-integer"
+
+
+A3_FLIP = validate_automorphism(A3, {"1": "3", "2": "2", "3": "1"})
+
+
+def walked_elements():
+    """(element, sigma or None): every A3 element with coordinates <= 2, then
+    seeded A4, D4+triality and A4+flip elements, sigma-fixed ones included."""
+    for coords in itertools.product(range(3), repeat=6):
+        yield MonoidElement(A3, coords), A3_FLIP
+    for name, model in (("A4", None), ("D4+triality", "d4"), ("A4+flip", "a4")):
+        datum, sigma = builtin(name)
+        rng = random.Random(sum(map(ord, name)) + 3)
+        for bound in (6, 10**6):
+            for _ in range(8):
+                yield rand_element(rng, datum, bound), sigma
+        if model is not None:
+            fd = standard_folding(model)
+            assert fd.source == datum and fd.sigma == sigma
+            for letters in enumerate_reduced_words(fd.folded).vertices:
+                coords = tuple(TropNat(rng.randint(0, 6)) for _ in letters)
+                unfolded = unfold(folded_decorated(fd, letters, coords))
+                yield normal_form(datum, unfolded.word.letters, [c.n for c in unfolded.coords]), sigma
+
+
+class TestTableWalk:
+    """Every operation the per-datum table of walk programs serves agrees
+    with its definition on typed decorated words."""
+
+    def test_reads_actions_and_reversal_match_definitions(self):
+        fixed = set()
+        for m, sigma in walked_elements():
+            assert reverse(m) == reverse_by_definition(m)
+            if sigma is not None:
+                expected = chamber.is_sigma_fixed(m.decorated(), sigma)
+                assert is_sigma_fixed_monoid(m, sigma) is expected
+                fixed.add(expected)
+            for i in m.datum.labels:
+                level = l_coordinate(m, i)
+                assert level == l_by_definition(m, i)
+                zero = lower_to_zero(m, i)
+                assert zero == gen_by_definition(MonoidGenerator(i, 0), m)
+                assert raise_to(level, zero, i) == m
+                assert raise_to(level + 1, zero, i) == raise_by_definition(level + 1, zero, i)
+        assert fixed == {True, False}
+
+    def test_table_holds_at_most_rank_plus_one_squared_programs(self):
+        from foldline import monoid
+
+        assert isinstance(monoid._walk_table.cache_info().maxsize, int)
+        crystal_graph_dot(A3, 3)
+        data = [A3]
+        for name in WALK_DATA:
+            datum, sigma = builtin(name)
+            data.append(datum)
+            rng = random.Random(sum(map(ord, name)) + 4)
+            for _ in range(10):
+                m1, m2 = rand_element(rng, datum), rand_element(rng, datum)
+                i = rng.choice(datum.labels)
+                mul(m1, m2)
+                right_mul_gen(m1, MonoidGenerator(i, 2))
+                l_scan(m1, i), r_scan(m1, i), r_coordinate(m1, i)
+                raise_to(3, lower_to_zero(m2, i), i)
+                if sigma is not None:
+                    is_sigma_fixed_monoid(m1, sigma)
+        for model in ("a3", "a4", "d4"):
+            fd = standard_folding(model)
+            data.append(fd.source)
+            for letters in enumerate_reduced_words(fd.folded).vertices:
+                folded_mul(fd, (1,) * len(letters), (2,) * len(letters), letters)
+        for datum in data:
+            table = monoid._walk_table(datum)
+            assert table, "the walk filled no table"
+            assert len(table) <= (datum.rank + 1) ** 2
+            keys = set(datum.labels) | {None}
+            assert all(start in keys and goal in keys for start, goal in table)
+
+    def test_unknown_label_raises_on_every_call(self):
+        from foldline import monoid
+
+        m = MonoidElement(A3, (1, 2, 0, 1, 2, 0))
+        for _ in range(2):
+            for act in (
+                lambda: left_mul_gen(MonoidGenerator("9", 1), m),
+                lambda: l_coordinate(m, "9"),
+                lambda: raise_to(1, m, "9"),
+            ):
+                with pytest.raises(DatumError) as error:
+                    act()
+                assert error.value.kind == "unknown-label"
+        assert all("9" not in key for key in monoid._walk_table(A3))
 
 
 class TestBoolsAreNotIntegers:
@@ -391,18 +523,6 @@ class TestFoldedMul:
             assert all(isinstance(c, int) and c >= 0 for c in out)
 
 
-def wrapped_folded_mul(fd, f1, f2, letters):
-    """folded_mul through TropNat-decorated words: unfold, multiply, fold back."""
-    elements = []
-    for coords in (f1, f2):
-        unfolded = unfold(folded_decorated(fd, letters, tuple(TropNat(c) for c in coords)))
-        elements.append(
-            _from_word_coords(fd.source, unfolded.word, [c.n for c in unfolded.coords])
-        )
-    back = fold_coordinates(fd, mul(*elements).decorated(), letters)
-    return tuple(c.n for c in back.coords)
-
-
 class TestFoldedMulFastPath:
     @pytest.mark.parametrize("model", ("a3", "a4", "d4"))
     @pytest.mark.parametrize("top", (6, 10**6))
@@ -412,7 +532,7 @@ class TestFoldedMulFastPath:
         for letters in enumerate_reduced_words(fd.folded).vertices:
             for _ in range(4):
                 f1, f2 = (tuple(rng.randint(0, top) for _ in letters) for _ in range(2))
-                assert folded_mul(fd, f1, f2, letters) == wrapped_folded_mul(fd, f1, f2, letters)
+                assert folded_mul(fd, f1, f2, letters) == folded_mul_by_definition(fd, f1, f2, letters)
 
     @pytest.mark.parametrize(
         "f1, letters, error, kind",
@@ -507,15 +627,15 @@ class TestStringLengths:
         at the least fixing exponent."""
         from foldline import monoid
 
-        original = monoid._coords_at
+        original = monoid._at
 
-        def misread(m, word):
-            coords = original(m, word)
+        def misread(m, i):
+            coords = original(m, i)
             top = max(coords)
             coords[0] = max(0, coords[0] + shift)
             return coords + [top]  # the bound still dominates l_i
 
-        monkeypatch.setattr(monoid, "_coords_at", misread)
+        monkeypatch.setattr(monoid, "_at", misread)
         rng = random.Random(19)
         for datum in (A2, A3, D4):
             for _ in range(6):
