@@ -193,15 +193,20 @@ def mul(m1: MonoidElement, m2: MonoidElement) -> MonoidElement:
     return MonoidElement(m2.datum, tuple(_act(m2.datum, list(m2.coords), steps)))
 
 
+def _sigma_moved(
+    datum: CartanDatum, sigma: DiagramAutomorphism, coords: Sequence[int]
+) -> list[int]:
+    """Base-word coordinates relabeled by sigma and moved back to the base word."""
+    return _moved(datum, sigma.apply_word(base_word(datum).letters), coords)
+
+
 def sigma_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> MonoidElement:
     """The automorphism xi_i^n -> xi_sigma(i)^n on normal forms."""
-    relabeled = sigma.apply_word(m.word.letters)
-    return MonoidElement(m.datum, tuple(_moved(m.datum, relabeled, m.coords)))
+    return MonoidElement(m.datum, tuple(_sigma_moved(m.datum, sigma, m.coords)))
 
 
 def is_sigma_fixed_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> bool:
-    relabeled = sigma.apply_word(m.word.letters)
-    return tuple(_moved(m.datum, relabeled, m.coords)) == m.coords
+    return tuple(_sigma_moved(m.datum, sigma, m.coords)) == m.coords
 
 
 def frobenius(e: int, m: MonoidElement) -> MonoidElement:
@@ -211,6 +216,14 @@ def frobenius(e: int, m: MonoidElement) -> MonoidElement:
     if e < 1:
         raise MonoidError("bad-exponent", "the scaling endomorphism needs e >= 1")
     return MonoidElement(m.datum, tuple(e * c for c in m.coords))
+
+
+def _naturals(coords: Sequence) -> list[int]:
+    """coords as a list of naturals, or the typed error of the first that is not."""
+    naturals = list(coords)
+    if all(type(c) is int and c >= 0 for c in naturals):
+        return naturals
+    return [TropNat(c).n for c in naturals]
 
 
 def folded_mul(
@@ -224,13 +237,11 @@ def folded_mul(
     its generator string along the unfolded word, which presents the same
     element as its string along the base word.
     """
-    letters = tuple(letters)
+    first = _naturals(f1)  # f1's typed errors come before the word's
+    _, word, layout = folding._unfolding(fd, tuple(letters))
     spreads = []
-    for coords in (f1, f2):
-        naturals = list(coords)
-        if not all(type(c) is int and c >= 0 for c in naturals):
-            naturals = [TropNat(c).n for c in naturals]  # typed errors for non-naturals
-        _, word, layout = folding._unfolding(fd, letters)
+    for coords in (first, f2):
+        naturals = _naturals(coords)
         if len(naturals) != len(layout):
             raise FoldingError(
                 "coords-length", f"{len(layout)} letters but {len(naturals)} coordinates"
@@ -239,7 +250,7 @@ def folded_mul(
     source, unfolded = fd.source, word.letters
     steps = zip(unfolded[::-1], spreads[0][::-1])
     product = _act(source, _moved(source, unfolded, spreads[1]), steps)
-    if _moved(source, fd.sigma.apply_word(base_word(source).letters), product) != product:
+    if _sigma_moved(source, fd.sigma, product) != product:
         raise MonoidError("not-sigma-fixed", "product of sigma-fixed elements must be sigma-fixed")
     at_word = chamber._run(chamber._program(source, base_word(source).letters, unfolded), product)
     return tuple(folding._read_blocks(at_word, layout))

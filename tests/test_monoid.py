@@ -543,6 +543,7 @@ class TestFoldedMulFastPath:
             ((1, 2, 3, 4), ("1", "1", "2", "2"), WordError, "not-reduced"),
             ((1, 2, 3, 4), ("2", "1", "2", "9"), DatumError, "unknown-label"),
             ((1, 2, 3), ("2", "1", "2"), WordError, "not-reduced"),
+            ((1, -2, 3, 4), ("1", "1", "2", "2"), SemifieldError, "tropnat-range"),
         ],
     )
     def test_malformed_inputs_keep_their_kinds(self, f1, letters, error, kind):

@@ -3,14 +3,14 @@
 
     python3 tools/layer_bench.py                       # time this checkout
     python3 tools/layer_bench.py --src OTHER/src       # time another checkout
-    python3 tools/layer_bench.py --baseline OTHER/src --rounds 10 > BENCH_x.json
+    python3 tools/layer_bench.py --baseline OTHER/src > BENCH_x.json
 
 Each row is one (layer, case): the seconds one call takes, as the median
-and the min over ``--repeat`` timings of NUMBER passes over the case's
-seeded inputs, with the repeat count, the Python version and the timings
+and the min over REPEAT timings of NUMBER passes over the case's seeded
+inputs, with the repeat count, the Python version and the timings
 themselves.  Every case is run once before it is timed, so its caches are
-warm.  With ``--baseline``, rounds alternate a fresh interpreter on the
-baseline source and one on this checkout's, and each row holds both
+warm.  With ``--baseline``, ROUNDS rounds alternate a fresh interpreter on
+the baseline source and one on this checkout's, and each row holds both
 sides' pooled timings.
 """
 
@@ -29,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = 50  # seeded inputs per case
 NUMBER = 20  # passes over the inputs per timing
+REPEAT = 7  # timings per case in one interpreter
+ROUNDS = 10  # alternating baseline/current interpreter pairs with --baseline
 
 
 def cases():
@@ -60,7 +62,7 @@ def cases():
     return out
 
 
-def measure(repeat: int, number: int = NUMBER) -> list[dict]:
+def measure(repeat: int = REPEAT, number: int = NUMBER) -> list[dict]:
     """One row per case, timed in this interpreter."""
     rows = []
     for layer, case, fn in cases():
@@ -80,18 +82,18 @@ def measure(repeat: int, number: int = NUMBER) -> list[dict]:
     return rows
 
 
-def _side(src: str, repeat: int) -> list[dict]:
+def _side(src: str) -> list[dict]:
     """measure() in a fresh interpreter that imports foldline from src."""
-    command = [sys.executable, str(Path(__file__).resolve()), "--src", src, "--repeat", str(repeat)]
+    command = [sys.executable, str(Path(__file__).resolve()), "--src", src]
     return json.loads(subprocess.run(command, check=True, capture_output=True, text=True).stdout)
 
 
-def compare(baseline: str, src: str, rounds: int, repeat: int) -> list[dict]:
+def compare(baseline: str, src: str) -> list[dict]:
     """Alternate the two sources round by round and pool each side's timings."""
     pooled: dict = {}
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         for side, path in (("baseline", baseline), ("current", src)):
-            for row in _side(path, repeat):
+            for row in _side(path):
                 pooled.setdefault((row["layer"], row["case"]), {}).setdefault(side, []).extend(
                     row["samples"]
                 )
@@ -109,15 +111,13 @@ def compare(baseline: str, src: str, rounds: int, repeat: int) -> list[dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory foldline is imported from")
-    parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--baseline", help="another checkout's src, timed in alternating rounds")
-    parser.add_argument("--rounds", type=int, default=4)
     args = parser.parse_args(argv)
     if args.baseline:
-        rows = compare(args.baseline, args.src, args.rounds, args.repeat)
+        rows = compare(args.baseline, args.src)
     else:
         sys.path.insert(0, args.src)
-        rows = measure(args.repeat)
+        rows = measure()
     print(json.dumps(rows, indent=2))
     return 0
 
