@@ -13,19 +13,26 @@ unique normal form: coordinates in N^N at the datum's base word, related
 across words by the tropical transition maps of :mod:`foldline.chamber`.
 Left multiplication by xi_i^n replaces the first coordinate c_1 by
 min(n, c_1) in any word starting with i.  A product m1 m2 is m1's generator
-string acting on m2, last letter first.  Transition maps compose, so the
-raw int coordinates move straight from one i-first word to the next, with
-one min per letter, and back to the base word once at the end.  The walk
-only ever moves between the base word and the i-first words, so each datum
-keeps one table of the compiled programs between them (``_walk_table``):
-an N-letter left factor costs N + 1 kernel runs of cached programs and
-builds one element.
+string acting on m2, last letter first.  Transition maps compose and do
+not depend on the path, so the raw int coordinates move straight from one
+i-first word to the next, with one min per letter, and back to the base
+word once at the end, along any braid paths at all.  The walk word for i
+is the base word with i brought to the front by Tits' constructive path
+(``chamber._constructive``), P_i, so each datum keeps one table of rank
+programs (``_walk_table``); a step from the walk word for i to the one for
+j runs P_i reversed, then P_j.  Every route the monoid runs is compiled
+once (``chamber._compile``) into a bounded cache: the generator string of
+a product, of a generator action and of a folded product, with its mins;
+the move to a walk word and back; and the fixed moves of reversal, of
+sigma and between an unfolded word and the base word.  So a product is one
+call and builds one element, and only :func:`normal_form`, which takes any
+word, searches a braid path (through ``chamber.transport``).
 
 Relations (i)-(iii) read the same backwards (swap a and c in (iii)), so
 reading the generator string of m backwards is an anti-automorphism
-:func:`reverse`, costing one kernel run.  Every right-hand operation is its
-left twin conjugated by it: m xi_i^n = reverse(xi_i^n reverse(m)), and
-r_i(m) = l_i(reverse(m)).
+:func:`reverse`, costing one call of a compiled route.  Every right-hand
+operation is its left twin conjugated by it: m xi_i^n = reverse(xi_i^n
+reverse(m)), and r_i(m) = l_i(reverse(m)).
 
 The crystal-operator structure is recovered from the monoid action: the
 string length l_i is the least n with xi_i^n m = m (equivalently the first
@@ -42,14 +49,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import chamber, folding
 from .cartan import CartanDatum, DiagramAutomorphism, FoldedDatum
 from .chamber import DecoratedWord
 from .errors import FoldingError, MonoidError
 from .semifield import TropInt, TropNat
-from .weyl import Word, base_word, reduced_word_for_w0_starting_with, word_for_w0
+from .weyl import Word, base_word, word_for_w0
 
 @dataclass(frozen=True)
 class MonoidGenerator:
@@ -88,38 +95,75 @@ class MonoidElement:
 # Data whose walk tables stay cached at once, as for weyl's per-datum tables.
 _WALK_TABLE_DATA = 64
 
+# Compiled routes kept at once in each of the route caches below: every
+# generator string, walk and fixed move the workloads and checks use on
+# their few data fits many times over.
+_ROUTE_CACHE_SIZE = 256
+
 
 @lru_cache(maxsize=_WALK_TABLE_DATA)
 def _walk_table(datum: CartanDatum) -> dict:
-    """The compiled programs between the words the monoid walks, keyed by
-    (start, goal): None is the base word and a label its i-first word.
+    """P_i for each label i: the constructive program from the base word to
+    its walk word for i, the base word with i brought to the front.
 
-    Filled one entry at a time by :func:`_between`, so it holds at most
-    (rank + 1)^2 programs; a label the datum lacks never gets an entry.
+    Filled one label at a time by :func:`_walk`, so it holds at most rank
+    programs; a label the datum lacks never gets an entry.
     """
     return {}
 
 
-def _walk_letters(datum: CartanDatum, key: str | None) -> tuple[str, ...]:
-    word = base_word(datum) if key is None else reduced_word_for_w0_starting_with(datum, key)
-    return word.letters
-
-
-def _between(datum: CartanDatum, start: str | None, goal: str | None) -> tuple[int, ...]:
-    """The program from the walk word keyed start to the one keyed goal."""
+def _walk(datum: CartanDatum, i: str) -> tuple[int, ...]:
     table = _walk_table(datum)
-    program = table.get((start, goal))
+    program = table.get(i)
     if program is None:
-        program = chamber._program(
-            datum, _walk_letters(datum, start), _walk_letters(datum, goal)
-        )
-        table[start, goal] = program
+        datum.index(i)  # the typed unknown-label error comes first
+        program = chamber._constructive(datum, base_word(datum).letters, (i,))
+        table[i] = program
     return program
 
 
+def _size(datum: CartanDatum) -> int:
+    return len(base_word(datum).letters)
+
+
+@lru_cache(maxsize=_ROUTE_CACHE_SIZE)
+def _string_route(datum: CartanDatum, letters: tuple[str, ...]):
+    """The generator string along letters acting on base-word coordinates,
+    last letter first, as one compiled function of (coordinates..., one
+    exponent per letter...).
+
+    From one walk word to the next it runs P_i reversed, then P_j, and
+    mins the exponent into the first coordinate; the last walk word moves
+    back to the base word once.
+    """
+
+    def steps():
+        back = ()
+        for k in range(len(letters) - 1, -1, -1):
+            there = _walk(datum, letters[k])
+            yield back + there, k
+            back = there[::-1]
+        yield back, None
+
+    return chamber._compile(_size(datum), steps(), len(letters))
+
+
+@lru_cache(maxsize=_ROUTE_CACHE_SIZE)
+def _walk_route(datum: CartanDatum, i: str, back: bool):
+    """P_i compiled, or its reversal from the walk word back to the base word."""
+    program = _walk(datum, i)
+    return chamber._compile(_size(datum), ((program[::-1] if back else program, None),))
+
+
+@lru_cache(maxsize=_ROUTE_CACHE_SIZE)
+def _fixed_route(datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]):
+    """The constructive program between two reduced words for w_0, compiled."""
+    return chamber._compile(len(start), ((chamber._constructive(datum, start, goal), None),))
+
+
 def _at(m: MonoidElement, i: str) -> list[int]:
-    """m's coordinates at the i-first word, as a new list."""
-    return chamber._run(_between(m.datum, None, i), list(m.coords))
+    """m's coordinates at the walk word for i, as a new list."""
+    return list(_walk_route(m.datum, i, False)(*m.coords))
 
 
 def normal_form(datum: CartanDatum, letters: Sequence[str], coords: Sequence[int]) -> MonoidElement:
@@ -131,27 +175,6 @@ def normal_form(datum: CartanDatum, letters: Sequence[str], coords: Sequence[int
     )
 
 
-def _act(datum: CartanDatum, coords: list[int], steps: Iterable[tuple[str, int]]) -> list[int]:
-    """Act on base-word coordinates with xi_i^n for each step (i, n) in turn;
-    every n a natural.
-
-    The coordinates stay raw ints in one list: each step runs the table's
-    program from the current walk word to the i-first word and mins n into
-    the first coordinate, and the last word moves back to the base word once.
-    """
-    table = _walk_table(datum)
-    key = None
-    for i, n in steps:
-        program = table.get((key, i))
-        if program is None:
-            program = _between(datum, key, i)
-        chamber._run(program, coords)
-        if n < coords[0]:
-            coords[0] = n
-        key = i
-    return chamber._run(_between(datum, key, None), coords)
-
-
 def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
     """xi_i^n . m: min into the first coordinate of an i-first word."""
     TropInt(gen.n)  # typed not-integer error before the sign test, bools included
@@ -160,17 +183,17 @@ def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
             "negative-exponent",
             "only exponents n >= 0 stabilize the normal-form submonoid",
         )
-    return MonoidElement(m.datum, tuple(_act(m.datum, list(m.coords), ((gen.i, gen.n),))))
+    return MonoidElement(m.datum, _string_route(m.datum, (gen.i,))(*m.coords, gen.n))
 
 
-def _moved(datum: CartanDatum, start: tuple[str, ...], coords: Sequence[int]) -> list[int]:
+def _moved(datum: CartanDatum, start: tuple[str, ...], coords: Sequence[int]) -> tuple[int, ...]:
     """Coordinates at the word start moved to the base word."""
-    return chamber._run(chamber._program(datum, start, base_word(datum).letters), list(coords))
+    return _fixed_route(datum, start, base_word(datum).letters)(*coords)
 
 
 def reverse(m: MonoidElement) -> MonoidElement:
     """The anti-automorphism reading m's generator string backwards."""
-    return MonoidElement(m.datum, tuple(_moved(m.datum, m.word.letters[::-1], m.coords[::-1])))
+    return MonoidElement(m.datum, _moved(m.datum, m.word.letters[::-1], m.coords[::-1]))
 
 
 def right_mul_gen(m: MonoidElement, gen: MonoidGenerator) -> MonoidElement:
@@ -189,24 +212,23 @@ def mul(m1: MonoidElement, m2: MonoidElement) -> MonoidElement:
     """Product in the monoid: act with m1's generator string on m2."""
     if m1.datum != m2.datum:
         raise MonoidError("datum-mismatch", "elements live over different data")
-    steps = zip(m1.word.letters[::-1], m1.coords[::-1])
-    return MonoidElement(m2.datum, tuple(_act(m2.datum, list(m2.coords), steps)))
+    return MonoidElement(m2.datum, _string_route(m2.datum, m1.word.letters)(*m2.coords, *m1.coords))
 
 
 def _sigma_moved(
     datum: CartanDatum, sigma: DiagramAutomorphism, coords: Sequence[int]
-) -> list[int]:
+) -> tuple[int, ...]:
     """Base-word coordinates relabeled by sigma and moved back to the base word."""
     return _moved(datum, sigma.apply_word(base_word(datum).letters), coords)
 
 
 def sigma_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> MonoidElement:
     """The automorphism xi_i^n -> xi_sigma(i)^n on normal forms."""
-    return MonoidElement(m.datum, tuple(_sigma_moved(m.datum, sigma, m.coords)))
+    return MonoidElement(m.datum, _sigma_moved(m.datum, sigma, m.coords))
 
 
 def is_sigma_fixed_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> bool:
-    return tuple(_sigma_moved(m.datum, sigma, m.coords)) == m.coords
+    return _sigma_moved(m.datum, sigma, m.coords) == m.coords
 
 
 def frobenius(e: int, m: MonoidElement) -> MonoidElement:
@@ -248,11 +270,10 @@ def folded_mul(
             )
         spreads.append([c for n, block in zip(naturals, layout) for c in folding._spread(n, block)])
     source, unfolded = fd.source, word.letters
-    steps = zip(unfolded[::-1], spreads[0][::-1])
-    product = _act(source, _moved(source, unfolded, spreads[1]), steps)
+    product = _string_route(source, unfolded)(*_moved(source, unfolded, spreads[1]), *spreads[0])
     if _sigma_moved(source, fd.sigma, product) != product:
         raise MonoidError("not-sigma-fixed", "product of sigma-fixed elements must be sigma-fixed")
-    at_word = chamber._run(chamber._program(source, base_word(source).letters, unfolded), product)
+    at_word = _fixed_route(source, base_word(source).letters, unfolded)(*product)
     return tuple(folding._read_blocks(at_word, layout))
 
 
@@ -327,7 +348,7 @@ def raise_to(n: int, m: MonoidElement, i: str) -> MonoidElement:
     if coords[0] != 0:
         raise MonoidError("raise-precondition", f"raise_to needs l_{i}(m) = 0")
     coords[0] = n
-    return MonoidElement(m.datum, tuple(chamber._run(_between(m.datum, i, None), coords)))
+    return MonoidElement(m.datum, _walk_route(m.datum, i, True)(*coords))
 
 
 def crystal_raise(m: MonoidElement, i: str) -> MonoidElement:
@@ -339,12 +360,18 @@ def crystal_raise(m: MonoidElement, i: str) -> MonoidElement:
 # and every graph within it answers in under a second.
 CRYSTAL_NODE_LIMIT = 4096
 
+# Most coordinates the nodes of one crystal graph hold: A3's 4096 nodes of 6.
+# Each node costs rank raises of N coordinates, so on a larger datum fewer
+# nodes are drawn; A64 (N = 2080) stops past 11 of them.
+CRYSTAL_COORDINATE_LIMIT = 4096 * 6
+
 
 def crystal_graph_dot(datum: CartanDatum, bound: int) -> str:
     """DOT graph of raising steps from the bottom element, coordinates <= bound."""
     if bound < 0:
         raise MonoidError("bad-bound", f"the bound must be >= 0, got {bound}")
     bottom = MonoidElement(datum, (0,) * len(base_word(datum).letters))
+    node_limit = min(CRYSTAL_NODE_LIMIT, CRYSTAL_COORDINATE_LIMIT // len(bottom.coords))
     seen = {bottom.coords}
     queue = [bottom]
     edges = []
@@ -358,10 +385,10 @@ def crystal_graph_dot(datum: CartanDatum, bound: int) -> str:
             if raised.coords not in seen:
                 seen.add(raised.coords)
                 queue.append(raised)
-                if len(seen) > CRYSTAL_NODE_LIMIT:
+                if len(seen) > node_limit:
                     raise MonoidError(
                         "limit",
-                        f"the crystal graph has more than {CRYSTAL_NODE_LIMIT} nodes "
+                        f"the crystal graph has more than {node_limit} nodes "
                         f"with coordinates <= {bound}",
                     )
     names = {coords: f"n{index}" for index, coords in enumerate(sorted(seen))}

@@ -573,14 +573,45 @@ class TestLimits:
         assert (code, doc["kind"]) == (1, "cap-exceeded")  # 292,864 words
 
     def test_braid_path_search_past_the_word_limit(self, capsys):
-        # the first D5 path search visits more than BFS_WORD_LIMIT words;
-        # unbounded, this call ran for more than a minute
+        # a far A5 pair visits more than BFS_WORD_LIMIT words; unbounded,
+        # this search ran for more than a minute
         start = time.perf_counter()
         code, doc = run_json(
-            capsys, "monoid", "crystal-graph", "--datum", "Dstyle:n=4", "--bound", "1"
+            capsys, "transition", "--datum", "A5", "--from", "121321432154321",
+            "--to", "545345234512345", "--coords", ",".join("0" * 15), "--semifield", "tropz",
         )
         assert time.perf_counter() - start < 10.0
         assert (code, doc["kind"]) == (1, "limit")
+        assert "braid path search" in doc["message"]
+
+    @pytest.mark.parametrize("name, size", (("A40", 820), ("A64", 2080)))
+    @pytest.mark.parametrize("command", ("mul", "lstring"))
+    def test_monoid_route_past_the_move_limit(self, capsys, name, size, command):
+        coords = ",".join(str(k % 3) for k in range(size))
+        if command == "mul":
+            argv = ("monoid", "mul", "--datum", name, "--left", coords, "--right", coords)
+        else:
+            argv = ("monoid", "lstring", "--datum", name, "--i", "1", "--coords", coords)
+        code, doc = self.run_limited(capsys, *argv)
+        assert (code, doc["kind"]) == (1, "limit")
+        assert doc["message"] == "a route needs more than 6000 moves"
+
+    def test_monoid_answers_past_the_search(self, capsys):
+        """D5 took a braid path search past its word limit; the monoid now
+        walks constructive paths there."""
+        coords = ",".join(str(k % 4) for k in range(20))
+        for argv in (
+            ("mul", "--left", coords, "--right", coords[::-1]),
+            ("lstring", "--i", "4'", "--coords", coords),
+            ("crystal-graph", "--bound", "0"),
+        ):
+            code, doc = self.run_limited(capsys, "monoid", argv[0], "--datum", "Dstyle:n=4", *argv[1:])
+            assert (code, doc["status"]) == (0, "ok")
+        code, doc = self.run_limited(
+            capsys, "monoid", "crystal-graph", "--datum", "Dstyle:n=4", "--bound", "1"
+        )
+        assert (code, doc["kind"]) == (1, "limit")
+        assert doc["message"].startswith("the crystal graph has more than 1228 nodes")
 
     @pytest.mark.parametrize(
         "power",
