@@ -360,10 +360,11 @@ def crystal_raise(m: MonoidElement, i: str) -> MonoidElement:
 # and every graph within it answers in under a second.
 CRYSTAL_NODE_LIMIT = 4096
 
-# Most coordinates the nodes of one crystal graph hold: A3's 4096 nodes of 6.
-# Each node costs rank raises of N coordinates, so on a larger datum fewer
-# nodes are drawn; A64 (N = 2080) stops past 11 of them.
-CRYSTAL_COORDINATE_LIMIT = 4096 * 6
+# Most coordinates the nodes of one crystal graph hold: 4096 nodes of D5's
+# 20, so every datum of at most 20 coordinates keeps the whole node limit.
+# Drawing a node costs about 4.5 us per coordinate, so on a larger datum
+# fewer nodes are drawn, within about 0.4 s; A64 (N = 2080) stops past 39.
+CRYSTAL_COORDINATE_LIMIT = 4096 * 20
 
 
 def crystal_graph_dot(datum: CartanDatum, bound: int) -> str:

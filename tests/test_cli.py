@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -611,7 +613,48 @@ class TestLimits:
             capsys, "monoid", "crystal-graph", "--datum", "Dstyle:n=4", "--bound", "1"
         )
         assert (code, doc["kind"]) == (1, "limit")
-        assert doc["message"].startswith("the crystal graph has more than 1228 nodes")
+        assert doc["message"].startswith("the crystal graph has more than 4096 nodes")
+
+    def test_crystal_graph_within_the_node_limit_on_d4(self, capsys):
+        """D4 keeps the whole node limit: N = 12 is within the coordinate
+        limit, and its --bound 1 graph has 3720 nodes."""
+        code, doc = self.run_limited(
+            capsys, "monoid", "crystal-graph", "--datum", "D4+triality", "--bound", "1"
+        )
+        dot = doc["payload"]["dot"]
+        assert code == 0
+        assert dot.count("[label=") - dot.count("->") == 3720
+
+    def test_crystal_graph_past_the_coordinate_limit(self, capsys):
+        # A20's 390 nodes of 210 coordinates fill CRYSTAL_COORDINATE_LIMIT;
+        # unbounded, its 4096 nodes took about 4 s
+        code, doc = self.run_limited(
+            capsys, "monoid", "crystal-graph", "--datum", "A20", "--bound", "1"
+        )
+        assert (code, doc["kind"]) == (1, "limit")
+        assert doc["message"].startswith("the crystal graph has more than 390 nodes")
+
+    @pytest.mark.parametrize("name, status", (("A40", "ok"), ("A64", "error"), ("Dstyle:n=63", "error")))
+    def test_crystal_graph_past_the_compile_size(self, name, status):
+        # past 256 coordinates routes run as _run loops; compiled, the work
+        # took 0.5 s on A40, 1.8 s on A64 and 3.2 s on Dstyle:n=63.  Timed
+        # in a fresh process: in this one, caches keyed by an equal datum
+        # built earlier compare whole pairings on every lookup
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ("monoid", "crystal-graph", "--datum", name, "--bound", "0")
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "foldline", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 1.0
+        doc = json.loads(out.stdout)
+        assert doc["status"] == status
+        if status == "error":
+            assert (out.returncode, doc["message"]) == (1, "a route needs more than 6000 moves")
 
     @pytest.mark.parametrize(
         "power",
