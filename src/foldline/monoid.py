@@ -15,18 +15,15 @@ Left multiplication by xi_i^n replaces the first coordinate c_1 by
 min(n, c_1) in any word starting with i.  A product m1 m2 is m1's generator
 string acting on m2, last letter first.  Transition maps compose and do
 not depend on the path, so the raw int coordinates move straight from one
-i-first word to the next, with one min per letter, and back to the base
-word once at the end, along any braid paths at all.  The walk word for i
-is the base word with i brought to the front by Tits' constructive path
-(``chamber._constructive``), P_i, so each datum keeps one table of rank
-programs (``_walk_table``); a step from the walk word for i to the one for
-j runs P_i reversed, then P_j.  Every route the monoid runs is compiled
-once (``chamber._compile``) into a bounded cache: the generator string of
-a product, of a generator action and of a folded product, with its mins;
-the move to a walk word and back; and the fixed moves of reversal, of
-sigma and between an unfolded word and the base word.  So a product is one
-call and builds one element, and only :func:`normal_form`, which takes any
-word, searches a braid path (through ``chamber.transport``).
+i-first word to the next, with one min per letter, along any braid paths at
+all.  The walk word for i is the base word with i brought to the front by
+Tits' constructive path (``chamber._constructive``).  Every move the monoid
+makes is one call of a function from one bounded cache, :func:`_route`,
+compiled once (``chamber._compile``): its coordinates enter at the base
+word, a walk word or a whole reduced word, its generator string acts with
+its mins, and they leave at another of these.  Each leg runs constructive
+programs forward or reversed through the base word, so a product builds
+one element and no monoid function searches a braid path.
 
 Relations (i)-(iii) read the same backwards (swap a and c in (iii)), so
 reading the generator string of m backwards is an anti-automorphism
@@ -54,7 +51,7 @@ from typing import Sequence
 from . import chamber, folding
 from .cartan import CartanDatum, DiagramAutomorphism, FoldedDatum
 from .chamber import DecoratedWord
-from .errors import FoldingError, MonoidError
+from .errors import FoldingError, MonoidError, WordError
 from .semifield import TropInt, TropNat
 from .weyl import Word, base_word, word_for_w0
 
@@ -92,87 +89,56 @@ class MonoidElement:
         return str(self.decorated())
 
 
-# Data whose walk tables stay cached at once, as for weyl's per-datum tables.
-_WALK_TABLE_DATA = 64
-
-# Compiled routes kept at once in each of the route caches below: every
-# generator string, walk and fixed move the workloads and checks use on
-# their few data fits many times over.
-_ROUTE_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_WALK_TABLE_DATA)
-def _walk_table(datum: CartanDatum) -> dict:
-    """P_i for each label i: the constructive program from the base word to
-    its walk word for i, the base word with i brought to the front.
-
-    Filled one label at a time by :func:`_walk`, so it holds at most rank
-    programs; a label the datum lacks never gets an entry.
-    """
-    return {}
-
-
-def _walk(datum: CartanDatum, i: str) -> tuple[int, ...]:
-    table = _walk_table(datum)
-    program = table.get(i)
-    if program is None:
-        datum.index(i)  # the typed unknown-label error comes first
-        program = chamber._constructive(datum, base_word(datum).letters, (i,))
-        table[i] = program
-    return program
-
-
-def _size(datum: CartanDatum) -> int:
-    return len(base_word(datum).letters)
+# Compiled routes kept at once: every generator string and fixed move the
+# workloads and checks use on their few data fits many times over.
+_ROUTE_CACHE_SIZE = 768
 
 
 @lru_cache(maxsize=_ROUTE_CACHE_SIZE)
-def _string_route(datum: CartanDatum, letters: tuple[str, ...]):
-    """The generator string along letters acting on base-word coordinates,
-    last letter first, as one compiled function of (coordinates..., one
-    exponent per letter...).
+def _route(datum: CartanDatum, start, letters: tuple[str, ...], goal):
+    """One compiled function of (coordinates at start..., one exponent per
+    letter...): the generator string along letters acts, last letter first,
+    and the coordinates come back at goal.
 
-    From one walk word to the next it runs P_i reversed, then P_j, and
-    mins the exponent into the first coordinate; the last walk word moves
-    back to the base word once.
+    start and goal are each None (the base word), (i,) (the walk word for
+    i, the base word with i brought to the front) or a whole reduced word.
+    Each leg between two of these runs the first one's constructive program
+    from the base word reversed, then the second one's; each letter mins
+    its exponent into the first coordinate at its walk word.
     """
+    for i in (*letters, *(start or ()), *(goal or ())):
+        datum.index(i)  # a typed unknown-label error before not-simply-laced
+    base, programs = base_word(datum).letters, {None: ()}
+
+    def leg(there, to):
+        for word in (there, to):
+            if word not in programs:
+                programs[word] = chamber._constructive(datum, base, word)
+        return programs[there][::-1] + programs[to]
 
     def steps():
-        back = ()
+        at = start
         for k in range(len(letters) - 1, -1, -1):
-            there = _walk(datum, letters[k])
-            yield back + there, k
-            back = there[::-1]
-        yield back, None
+            yield leg(at, (letters[k],)), k
+            at = (letters[k],)
+        yield leg(at, goal), None
 
-    return chamber._compile(_size(datum), steps(), len(letters))
-
-
-@lru_cache(maxsize=_ROUTE_CACHE_SIZE)
-def _walk_route(datum: CartanDatum, i: str, back: bool):
-    """P_i compiled, or its reversal from the walk word back to the base word."""
-    program = _walk(datum, i)
-    return chamber._compile(_size(datum), ((program[::-1] if back else program, None),))
-
-
-@lru_cache(maxsize=_ROUTE_CACHE_SIZE)
-def _fixed_route(datum: CartanDatum, start: tuple[str, ...], goal: tuple[str, ...]):
-    """The constructive program between two reduced words for w_0, compiled."""
-    return chamber._compile(len(start), ((chamber._constructive(datum, start, goal), None),))
+    return chamber._compile(len(base), steps(), len(letters))
 
 
 def _at(m: MonoidElement, i: str) -> list[int]:
     """m's coordinates at the walk word for i, as a new list."""
-    return list(_walk_route(m.datum, i, False)(*m.coords))
+    return list(_route(m.datum, None, (), (i,))(*m.coords))
 
 
 def normal_form(datum: CartanDatum, letters: Sequence[str], coords: Sequence[int]) -> MonoidElement:
     """The element with the given coordinates along the given reduced word."""
     naturals = [TropNat(c).n for c in coords]  # typed errors for non-naturals
-    word = word_for_w0(datum, letters)
-    return MonoidElement(
-        datum, tuple(chamber.transport(datum, word.letters, base_word(datum).letters, naturals))
-    )
+    word = word_for_w0(datum, letters).letters
+    route = _route(datum, word, (), None)
+    if len(naturals) != len(word):
+        raise WordError("coords-length", f"{len(word)} letters but {len(naturals)} coordinates")
+    return MonoidElement(datum, route(*naturals))
 
 
 def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
@@ -183,17 +149,12 @@ def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
             "negative-exponent",
             "only exponents n >= 0 stabilize the normal-form submonoid",
         )
-    return MonoidElement(m.datum, _string_route(m.datum, (gen.i,))(*m.coords, gen.n))
-
-
-def _moved(datum: CartanDatum, start: tuple[str, ...], coords: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates at the word start moved to the base word."""
-    return _fixed_route(datum, start, base_word(datum).letters)(*coords)
+    return MonoidElement(m.datum, _route(m.datum, None, (gen.i,), None)(*m.coords, gen.n))
 
 
 def reverse(m: MonoidElement) -> MonoidElement:
     """The anti-automorphism reading m's generator string backwards."""
-    return MonoidElement(m.datum, _moved(m.datum, m.word.letters[::-1], m.coords[::-1]))
+    return MonoidElement(m.datum, _route(m.datum, m.word.letters[::-1], (), None)(*m.coords[::-1]))
 
 
 def right_mul_gen(m: MonoidElement, gen: MonoidGenerator) -> MonoidElement:
@@ -212,14 +173,14 @@ def mul(m1: MonoidElement, m2: MonoidElement) -> MonoidElement:
     """Product in the monoid: act with m1's generator string on m2."""
     if m1.datum != m2.datum:
         raise MonoidError("datum-mismatch", "elements live over different data")
-    return MonoidElement(m2.datum, _string_route(m2.datum, m1.word.letters)(*m2.coords, *m1.coords))
+    return MonoidElement(m2.datum, _route(m2.datum, None, m1.word.letters, None)(*m2.coords, *m1.coords))
 
 
 def _sigma_moved(
     datum: CartanDatum, sigma: DiagramAutomorphism, coords: Sequence[int]
 ) -> tuple[int, ...]:
     """Base-word coordinates relabeled by sigma and moved back to the base word."""
-    return _moved(datum, sigma.apply_word(base_word(datum).letters), coords)
+    return _route(datum, sigma.apply_word(base_word(datum).letters), (), None)(*coords)
 
 
 def sigma_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> MonoidElement:
@@ -254,10 +215,12 @@ def folded_mul(
     """Product of two sigma-fixed elements in folded coordinates.
 
     Both inputs are natural coordinate vectors on the given folded word;
-    they are unfolded, multiplied, checked sigma-fixed, and folded back,
-    all on raw ints at the cached unfolded word.  The left factor acts with
-    its generator string along the unfolded word, which presents the same
-    element as its string along the base word.
+    they are unfolded, multiplied and folded back, all on raw ints at the
+    cached unfolded word, in one route call.  The left factor acts with its
+    generator string along the unfolded word, which presents the same
+    element as its string along the base word.  Folding back reads the
+    block pattern, which ends in kind not-sigma-fixed exactly when the
+    product is not sigma-fixed.
     """
     first = _naturals(f1)  # f1's typed errors come before the word's
     _, word, layout = folding._unfolding(fd, tuple(letters))
@@ -269,12 +232,9 @@ def folded_mul(
                 "coords-length", f"{len(layout)} letters but {len(naturals)} coordinates"
             )
         spreads.append([c for n, block in zip(naturals, layout) for c in folding._spread(n, block)])
-    source, unfolded = fd.source, word.letters
-    product = _string_route(source, unfolded)(*_moved(source, unfolded, spreads[1]), *spreads[0])
-    if _sigma_moved(source, fd.sigma, product) != product:
-        raise MonoidError("not-sigma-fixed", "product of sigma-fixed elements must be sigma-fixed")
-    at_word = _fixed_route(source, base_word(source).letters, unfolded)(*product)
-    return tuple(folding._read_blocks(at_word, layout))
+    unfolded = word.letters
+    product = _route(fd.source, unfolded, unfolded, unfolded)(*spreads[1], *spreads[0])
+    return tuple(folding._read_blocks(product, layout))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +308,7 @@ def raise_to(n: int, m: MonoidElement, i: str) -> MonoidElement:
     if coords[0] != 0:
         raise MonoidError("raise-precondition", f"raise_to needs l_{i}(m) = 0")
     coords[0] = n
-    return MonoidElement(m.datum, _walk_route(m.datum, i, True)(*coords))
+    return MonoidElement(m.datum, _route(m.datum, (i,), (), None)(*coords))
 
 
 def crystal_raise(m: MonoidElement, i: str) -> MonoidElement:

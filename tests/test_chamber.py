@@ -23,7 +23,7 @@ from foldline.chamber import (
     sigma_action,
     transition,
 )
-from foldline.errors import WordError
+from foldline.errors import FoldlineError, WordError
 from foldline.semifield import RATIONALS, TROP_INT, TROP_NAT, SymbolicSemifield
 from foldline.weyl import base_word, braid_neighbors, enumerate_reduced_words, word_for_w0
 
@@ -204,6 +204,25 @@ class TestTransition:
         back = transition(there, word_for_w0(datum, a))
         assert back.word.letters == a
         assert all(p == q for p, q in zip(back.coords, xs))
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from(["A2", "A3"]), st.data())
+    def test_any_letter_tuples_answer_or_end_typed(self, name, data):
+        """move_path and transport on arbitrary letter tuples, reduced words
+        or not, with an unknown label among the letters: an answer or a
+        typed error, never another exception."""
+        datum, _ = builtin(name)
+        letters = st.lists(st.sampled_from([*datum.labels, "9"]), max_size=5).map(tuple)
+        start, goal = data.draw(letters), data.draw(letters)
+        values = data.draw(st.lists(st.integers(0, 9), max_size=6))
+        for call in (
+            lambda: move_path(datum, start, goal),
+            lambda: chamber.transport(datum, start, goal, values),
+        ):
+            try:
+                call()
+            except FoldlineError:
+                pass
 
     def test_every_d4_pair_fits_under_the_word_limit(self):
         d4, _ = builtin("D4+triality")

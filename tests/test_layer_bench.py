@@ -7,12 +7,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = [
-    ("monoid.mul", "A4"),
-    ("monoid.l_scan", "A4"),
-    ("monoid.mul", "D4+triality"),
-    ("monoid.l_scan", "D4+triality"),
-    ("monoid.folded_mul", "d4"),
-]
+    (layer, case)
+    for case in ("A4", "D4+triality")
+    for layer in ("monoid.mul", "monoid.l_scan", "monoid.raise_to", "monoid.normal_form")
+] + [("monoid.folded_mul", "d4")]
 
 
 def load_script():

@@ -8,7 +8,7 @@ import pytest
 from foldline import chamber
 from foldline.cartan import builtin, validate_automorphism
 from foldline.errors import DatumError, FoldingError, MonoidError, SemifieldError, WordError
-from foldline.folding import fold_coordinates, folded_decorated, standard_folding, unfold
+from foldline.folding import _unfolding, fold_coordinates, folded_decorated, standard_folding, unfold
 from foldline.monoid import (
     MonoidElement,
     MonoidGenerator,
@@ -306,12 +306,12 @@ class TestProductWalk:
             elements.append(self.coords)
             post_init(self)
 
-        monoid._string_route.cache_clear()
+        monoid._route.cache_clear()
         monkeypatch.setattr(chamber, "_compile", counting_compile)
         monkeypatch.setattr(chamber, "_run", lambda *args: kernel_runs.append(args))
         monkeypatch.setattr(MonoidElement, "__post_init__", counting_post_init)
         product = mul(m1, m2)
-        monoid._string_route.cache_clear()  # no counting route stays cached
+        monoid._route.cache_clear()  # no counting route stays cached
         assert len(runs) == 1 and kernel_runs == []
         assert elements == [product.coords]
 
@@ -349,8 +349,8 @@ def walked_elements():
 
 
 class TestTableWalk:
-    """Every operation the per-datum table of walk programs serves agrees
-    with its definition on typed decorated words."""
+    """Every operation the compiled routes serve agrees with its definition
+    on typed decorated words."""
 
     def test_reads_actions_and_reversal_match_definitions(self):
         fixed = set()
@@ -369,40 +369,51 @@ class TestTableWalk:
                 assert raise_to(level + 1, zero, i) == raise_by_definition(level + 1, zero, i)
         assert fixed == {True, False}
 
-    def test_table_holds_at_most_rank_programs(self):
+    def test_route_cache_holds_a_few_routes_per_datum(self):
+        """Per datum: a string, a move to and one back from each walk word,
+        the product's string, reversal, sigma, and one per folded word;
+        running every operation again compiles nothing new."""
         from foldline import monoid
 
-        assert isinstance(monoid._walk_table.cache_info().maxsize, int)
-        crystal_graph_dot(A3, 3)
-        data = [A3]
-        for name in WALK_DATA:
-            datum, sigma = builtin(name)
-            data.append(datum)
-            rng = random.Random(sum(map(ord, name)) + 4)
-            for _ in range(10):
-                m1, m2 = rand_element(rng, datum), rand_element(rng, datum)
-                i = rng.choice(datum.labels)
-                mul(m1, m2)
-                right_mul_gen(m1, MonoidGenerator(i, 2))
-                l_scan(m1, i), r_scan(m1, i), r_coordinate(m1, i)
-                raise_to(3, lower_to_zero(m2, i), i)
-                if sigma is not None:
-                    is_sigma_fixed_monoid(m1, sigma)
-        for model in ("a3", "a4", "d4"):
-            fd = standard_folding(model)
-            data.append(fd.source)
-            for letters in enumerate_reduced_words(fd.folded).vertices:
-                folded_mul(fd, (1,) * len(letters), (2,) * len(letters), letters)
-        for datum in data:
-            table = monoid._walk_table(datum)
-            assert table, "the walk filled no table"
-            assert len(table) <= datum.rank
-            assert set(table) <= set(datum.labels)
+        info = monoid._route.cache_info()
+        assert isinstance(info.maxsize, int) and info.maxsize <= 3 * 256
+        monoid._route.cache_clear()
+
+        def operations():
+            crystal_graph_dot(A3, 3)
+            for name in WALK_DATA:
+                datum, sigma = builtin(name)
+                rng = random.Random(sum(map(ord, name)) + 4)
+                for _ in range(10):
+                    m1, m2 = rand_element(rng, datum), rand_element(rng, datum)
+                    i = rng.choice(datum.labels)
+                    mul(m1, m2)
+                    right_mul_gen(m1, MonoidGenerator(i, 2))
+                    l_scan(m1, i), r_scan(m1, i), r_coordinate(m1, i)
+                    raise_to(3, lower_to_zero(m2, i), i)
+                    if sigma is not None:
+                        is_sigma_fixed_monoid(m1, sigma)
+            for model in ("a3", "a4", "d4"):
+                fd = standard_folding(model)
+                for letters in enumerate_reduced_words(fd.folded).vertices:
+                    folded_mul(fd, (1,) * len(letters), (2,) * len(letters), letters)
+
+        operations()
+        routes = monoid._route.cache_info().currsize
+        data = {A3, *(builtin(name)[0] for name in WALK_DATA)}
+        folded_words = sum(
+            len(enumerate_reduced_words(standard_folding(model).folded).vertices)
+            for model in ("a3", "a4", "d4")
+        )
+        assert 0 < routes <= sum(3 * datum.rank + 3 for datum in data) + folded_words
+        operations()
+        assert monoid._route.cache_info().currsize == routes
 
     def test_unknown_label_raises_on_every_call(self):
         from foldline import monoid
 
         m = MonoidElement(A3, (1, 2, 0, 1, 2, 0))
+        routes = monoid._route.cache_info().currsize
         for _ in range(2):
             for act in (
                 lambda: left_mul_gen(MonoidGenerator("9", 1), m),
@@ -412,7 +423,22 @@ class TestTableWalk:
                 with pytest.raises(DatumError) as error:
                     act()
                 assert error.value.kind == "unknown-label"
-        assert "9" not in monoid._walk_table(A3)
+        assert monoid._route.cache_info().currsize == routes  # no route for "9"
+
+    def test_unknown_label_comes_before_not_simply_laced(self):
+        b2, _ = builtin("B:n=2")
+        m = MonoidElement(b2, (0, 1, 0, 2))
+        for act in (
+            lambda: left_mul_gen(MonoidGenerator("9", 1), m),
+            lambda: l_coordinate(m, "9"),
+            lambda: raise_to(1, m, "9"),
+        ):
+            with pytest.raises(DatumError) as error:
+                act()
+            assert error.value.kind == "unknown-label"
+        with pytest.raises(WordError) as error:
+            l_coordinate(m, "1")
+        assert error.value.kind == "not-simply-laced"
 
 
 class TestBoolsAreNotIntegers:
@@ -557,6 +583,23 @@ class TestFoldedMulFastPath:
         with pytest.raises(error) as raised:
             folded_mul(standard_folding("a3"), f1, (0, 0, 0, 0), letters)
         assert raised.value.kind == kind
+
+    @pytest.mark.parametrize("model", ("a3", "a4", "d4"))
+    def test_a_product_off_the_block_pattern_is_not_sigma_fixed(self, model, monkeypatch):
+        """folded_mul reads its product back through the block pattern, which
+        fails exactly when the product is not sigma-fixed."""
+        from foldline import monoid
+
+        fd = standard_folding(model)
+        letters = enumerate_reduced_words(fd.folded).vertices[0]
+        unfolded = _unfolding(fd, letters)[1]
+        moved = tuple(range(len(unfolded.letters)))  # distinct entries break every block
+        at_word = chamber.DecoratedWord(unfolded, tuple(map(TropNat, moved)))
+        assert not chamber.is_sigma_fixed(at_word, fd.sigma)
+        monkeypatch.setattr(monoid, "_route", lambda *key: lambda *values: moved)
+        with pytest.raises(FoldingError) as raised:
+            folded_mul(fd, (1,) * len(letters), (2,) * len(letters), letters)
+        assert raised.value.kind == "not-sigma-fixed"
 
 
 class TestFrobenius:
@@ -728,7 +771,8 @@ class TestCrystal:
 
 class TestPastTheSearch:
     """D5 and A5, where a braid path search ended in kind limit: the monoid
-    walks constructive paths there, and its laws hold on seeded elements."""
+    walks constructive paths there, its laws hold on seeded elements, and a
+    normal form from the reversed base word answers."""
 
     @pytest.mark.parametrize("name", ("Dstyle:n=4", "A5"))
     def test_laws(self, name):
@@ -757,4 +801,5 @@ class TestPastTheSearch:
             x, y = rand_element(rng, datum, bound=9), rand_element(rng, datum, bound=9)
             assert mul(mul(x, y), m) == mul(x, mul(y, m))
             assert mul(x, y) == one_generator_at_a_time(x, y)
+            assert normal_form(datum, m.word.letters[::-1], m.coords[::-1]) == reverse(m)
         assert relations == {0, -1}

@@ -1,5 +1,6 @@
-"""Per-layer timings of the monoid walk: warm ``monoid.mul``, ``l_scan`` and
-``folded_mul`` on seeded inputs, stdlib ``timeit`` only.
+"""Per-layer timings of the monoid walk: warm ``monoid.mul``, ``l_scan``,
+``raise_to`` after ``lower_to_zero``, ``normal_form`` from a reduced word
+and ``folded_mul`` on seeded inputs, stdlib ``timeit`` only.
 
     python3 tools/layer_bench.py                       # time this checkout
     python3 tools/layer_bench.py --src OTHER/src       # time another checkout
@@ -38,6 +39,7 @@ def cases():
     from foldline import monoid
     from foldline.cartan import builtin
     from foldline.folding import standard_folding
+    from foldline.weyl import enumerate_reduced_words
 
     rng = random.Random(1)
     out = []
@@ -50,8 +52,19 @@ def cases():
 
         pairs = [(element(), element()) for _ in range(INPUTS)]
         scans = [(element(), rng.choice(datum.labels)) for _ in range(INPUTS)]
-        out.append(("monoid.mul", name, lambda pairs=pairs: [monoid.mul(x, y) for x, y in pairs]))
-        out.append(("monoid.l_scan", name, lambda scans=scans: [monoid.l_scan(m, i) for m, i in scans]))
+        # a separate seed, so the rows above keep the inputs they always had
+        reduced, draw = enumerate_reduced_words(datum).vertices, random.Random(f"forms:{name}")
+        forms = [(draw.choice(reduced), [draw.randint(0, 5) for _ in range(size)]) for _ in range(INPUTS)]
+
+        def raise_lowered(scans=scans):
+            return [monoid.raise_to(3, monoid.lower_to_zero(m, i), i) for m, i in scans]
+
+        out += [
+            ("monoid.mul", name, lambda pairs=pairs: [monoid.mul(x, y) for x, y in pairs]),
+            ("monoid.l_scan", name, lambda scans=scans: [monoid.l_scan(m, i) for m, i in scans]),
+            ("monoid.raise_to", name, raise_lowered),
+            ("monoid.normal_form", name, lambda d=datum, f=forms: [monoid.normal_form(d, *x) for x in f]),
+        ]
     fd = standard_folding("d4")
     words = (("1", "2", "1", "2", "1", "2"), ("2", "1", "2", "1", "2", "1"))
     folded = [
