@@ -128,10 +128,15 @@ _UNFOLDING_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_UNFOLDING_CACHE_SIZE)
-def _unfolding(fd: FoldedDatum, letters: tuple[str, ...]) -> tuple[Word, Word, tuple]:
-    """The validated folded word, its default unfolding and its block layout."""
+def _unfolding(fd: FoldedDatum, letters: tuple[str, ...]) -> tuple[Word, Word, tuple, tuple]:
+    """The validated folded word, its default unfolding, its block layout
+    and the layout's gather indices (spread, read): the block of each
+    unfolded position, and the unfolded position each block is read at."""
     folded = word_for_w0(fd.folded, letters)
-    return (folded, *_blocks(fd, default_filling(fd, folded.letters)))
+    word, layout = _blocks(fd, default_filling(fd, folded.letters))
+    spread = tuple(b for b, (doubled, _) in enumerate(layout) for _ in doubled)
+    read = tuple(spread.index(b) + read_at for b, (_, read_at) in enumerate(layout))
+    return folded, word, layout, (spread, read)
 
 
 def _spread(value, block) -> list:
@@ -161,7 +166,7 @@ def unfold(
     """Expand a folded decorated word into the simply laced source datum."""
     fd = fdw.fold
     if filling is None:
-        _, word, layout = _unfolding(fd, fdw.letters)
+        _, word, layout, _ = _unfolding(fd, fdw.letters)
     else:
         validate_filling(fd, fdw.letters, filling)
         word, layout = _blocks(fd, filling)
@@ -198,7 +203,7 @@ def fold_coordinates(
     every sigma-fixed component has it, so one transition does the work of
     both.
     """
-    folded, word, layout = _unfolding(fd, tuple(letters))
+    folded, word, layout, _ = _unfolding(fd, tuple(letters))
     if dw.datum != fd.source:
         raise FoldingError("datum-mismatch", "decorated word belongs to a different datum")
     coords = _read_blocks(transition(dw, word).coords, layout)

@@ -22,8 +22,12 @@ makes is one call of a function from one bounded cache, :func:`_route`,
 compiled once (``chamber._compile``): its coordinates enter at the base
 word, a walk word or a whole reduced word, its generator string acts with
 its mins, and they leave at another of these.  Each leg runs constructive
-programs forward or reversed through the base word, so a product builds
-one element and no monoid function searches a braid path.
+programs forward or reversed through the base word, so no monoid function
+searches a braid path.  Between route calls the coordinates stay plain int
+tuples: scans and reads compare and return them, and the one element an
+operation answers with is built by the private :func:`_element`, which
+trusts route output (routes keep naturals natural, one per letter).  The
+public ``MonoidElement(...)`` checks its coordinates.
 
 Relations (i)-(iii) read the same backwards (swap a and c in (iii)), so
 reading the generator string of m backwards is an anti-automorphism
@@ -36,10 +40,13 @@ string length l_i is the least n with xi_i^n m = m (equivalently the first
 coordinate at an i-first word, which the scans probe first, as generator
 actions, before doubling and bisection), lower_to_zero is xi_i^0, and
 raise_to(n) resets the first coordinate, giving mutually inverse bijections
-between the l_i = 0 and l_i = n fibers.  The exponent-scaling endomorphisms
-m -> (coordinates times e) are multiplicative and commute with diagram
-automorphisms.  :func:`folded_mul` multiplies sigma-fixed elements on raw
-ints at the cached unfolded word of :mod:`foldline.folding`.
+between the l_i = 0 and l_i = n fibers.  At an i-first word f_i only adds 1
+to the first coordinate (Berenstein and Zelevinsky 2001), so
+:func:`crystal_raise` is two route calls, to the walk word for i and back.
+The exponent-scaling endomorphisms m -> (coordinates times e) are
+multiplicative and commute with diagram automorphisms.  :func:`folded_mul`
+multiplies sigma-fixed elements on raw ints at the cached unfolded word of
+:mod:`foldline.folding`, spreading and reading its blocks by index gathers.
 """
 
 from __future__ import annotations
@@ -89,6 +96,15 @@ class MonoidElement:
         return str(self.decorated())
 
 
+def _element(datum: CartanDatum, coords: tuple[int, ...]) -> MonoidElement:
+    """An element of route output, built without the public check: a route
+    on naturals returns naturals, one per letter of the base word."""
+    m = object.__new__(MonoidElement)
+    object.__setattr__(m, "datum", datum)
+    object.__setattr__(m, "coords", coords)
+    return m
+
+
 # Compiled routes kept at once: every generator string and fixed move the
 # workloads and checks use on their few data fits many times over.
 _ROUTE_CACHE_SIZE = 768
@@ -126,19 +142,30 @@ def _route(datum: CartanDatum, start, letters: tuple[str, ...], goal):
     return chamber._compile(len(base), steps(), len(letters))
 
 
-def _at(m: MonoidElement, i: str) -> list[int]:
-    """m's coordinates at the walk word for i, as a new list."""
-    return list(_route(m.datum, None, (), (i,))(*m.coords))
+def _at(datum: CartanDatum, coords: tuple[int, ...], i: str) -> tuple[int, ...]:
+    """Base-word coordinates moved to the walk word for i."""
+    return _route(datum, None, (), (i,))(*coords)
+
+
+def _reversal(m: MonoidElement) -> tuple[int, ...]:
+    """The base-word coordinates of reverse(m)."""
+    return _route(m.datum, m.word.letters[::-1], (), None)(*m.coords[::-1])
+
+
+def _raised(datum: CartanDatum, coords: tuple[int, ...], i: str) -> tuple[int, ...]:
+    """f_i on base-word coordinates: 1 more on the first at the walk word for i."""
+    at = _at(datum, coords, i)
+    return _route(datum, (i,), (), None)(at[0] + 1, *at[1:])
 
 
 def normal_form(datum: CartanDatum, letters: Sequence[str], coords: Sequence[int]) -> MonoidElement:
     """The element with the given coordinates along the given reduced word."""
-    naturals = [TropNat(c).n for c in coords]  # typed errors for non-naturals
+    naturals = _naturals(coords)  # typed errors for non-naturals
     word = word_for_w0(datum, letters).letters
     route = _route(datum, word, (), None)
     if len(naturals) != len(word):
         raise WordError("coords-length", f"{len(word)} letters but {len(naturals)} coordinates")
-    return MonoidElement(datum, route(*naturals))
+    return _element(datum, route(*naturals))
 
 
 def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
@@ -149,12 +176,12 @@ def left_mul_gen(gen: MonoidGenerator, m: MonoidElement) -> MonoidElement:
             "negative-exponent",
             "only exponents n >= 0 stabilize the normal-form submonoid",
         )
-    return MonoidElement(m.datum, _route(m.datum, None, (gen.i,), None)(*m.coords, gen.n))
+    return _element(m.datum, _route(m.datum, None, (gen.i,), None)(*m.coords, gen.n))
 
 
 def reverse(m: MonoidElement) -> MonoidElement:
     """The anti-automorphism reading m's generator string backwards."""
-    return MonoidElement(m.datum, _route(m.datum, m.word.letters[::-1], (), None)(*m.coords[::-1]))
+    return _element(m.datum, _reversal(m))
 
 
 def right_mul_gen(m: MonoidElement, gen: MonoidGenerator) -> MonoidElement:
@@ -173,7 +200,7 @@ def mul(m1: MonoidElement, m2: MonoidElement) -> MonoidElement:
     """Product in the monoid: act with m1's generator string on m2."""
     if m1.datum != m2.datum:
         raise MonoidError("datum-mismatch", "elements live over different data")
-    return MonoidElement(m2.datum, _route(m2.datum, None, m1.word.letters, None)(*m2.coords, *m1.coords))
+    return _element(m2.datum, _route(m2.datum, None, m1.word.letters, None)(*m2.coords, *m1.coords))
 
 
 def _sigma_moved(
@@ -185,7 +212,7 @@ def _sigma_moved(
 
 def sigma_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> MonoidElement:
     """The automorphism xi_i^n -> xi_sigma(i)^n on normal forms."""
-    return MonoidElement(m.datum, _sigma_moved(m.datum, sigma, m.coords))
+    return _element(m.datum, _sigma_moved(m.datum, sigma, m.coords))
 
 
 def is_sigma_fixed_monoid(m: MonoidElement, sigma: DiagramAutomorphism) -> bool:
@@ -198,7 +225,7 @@ def frobenius(e: int, m: MonoidElement) -> MonoidElement:
         raise MonoidError("bad-exponent", f"the scaling exponent must be an int, got {e!r}")
     if e < 1:
         raise MonoidError("bad-exponent", "the scaling endomorphism needs e >= 1")
-    return MonoidElement(m.datum, tuple(e * c for c in m.coords))
+    return _element(m.datum, tuple([e * c for c in m.coords]))
 
 
 def _naturals(coords: Sequence) -> list[int]:
@@ -207,6 +234,15 @@ def _naturals(coords: Sequence) -> list[int]:
     if all(type(c) is int and c >= 0 for c in naturals):
         return naturals
     return [TropNat(c).n for c in naturals]
+
+
+def _spread_out(naturals: list[int], layout, spread: tuple[int, ...]) -> list[int]:
+    """Folded coordinates on the unfolded word: on ints a spread only copies."""
+    if len(naturals) != len(layout):
+        raise FoldingError(
+            "coords-length", f"{len(layout)} letters but {len(naturals)} coordinates"
+        )
+    return [naturals[b] for b in spread]
 
 
 def folded_mul(
@@ -218,23 +254,21 @@ def folded_mul(
     they are unfolded, multiplied and folded back, all on raw ints at the
     cached unfolded word, in one route call.  The left factor acts with its
     generator string along the unfolded word, which presents the same
-    element as its string along the base word.  Folding back reads the
-    block pattern, which ends in kind not-sigma-fixed exactly when the
-    product is not sigma-fixed.
+    element as its string along the base word.  Spreading and reading back
+    are gathers by the cached block indices; the product is sigma-fixed
+    exactly when spreading what was read gives it back, and otherwise this
+    ends in kind not-sigma-fixed.
     """
     first = _naturals(f1)  # f1's typed errors come before the word's
-    _, word, layout = folding._unfolding(fd, tuple(letters))
-    spreads = []
-    for coords in (first, f2):
-        naturals = _naturals(coords)
-        if len(naturals) != len(layout):
-            raise FoldingError(
-                "coords-length", f"{len(layout)} letters but {len(naturals)} coordinates"
-            )
-        spreads.append([c for n, block in zip(naturals, layout) for c in folding._spread(n, block)])
+    _, word, layout, (spread, read) = folding._unfolding(fd, tuple(letters))
+    left = _spread_out(first, layout, spread)
+    right = _spread_out(_naturals(f2), layout, spread)
     unfolded = word.letters
-    product = _route(fd.source, unfolded, unfolded, unfolded)(*spreads[1], *spreads[0])
-    return tuple(folding._read_blocks(product, layout))
+    product = _route(fd.source, unfolded, unfolded, unfolded)(*right, *left)
+    values = tuple([product[p] for p in read])
+    if tuple([values[b] for b in spread]) != product:
+        raise FoldingError("not-sigma-fixed", "can only fold sigma-fixed components")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +277,28 @@ def folded_mul(
 
 def l_coordinate(m: MonoidElement, i: str) -> int:
     """l_i read off coordinates: the first coordinate at an i-first word."""
-    return _at(m, i)[0]
+    return _at(m.datum, m.coords, i)[0]
 
 
-def _scan(m: MonoidElement, i: str) -> int:
-    """The least n >= 0 with xi_i^n m = m, which holds exactly when n >= l_i.
+def _scan(datum: CartanDatum, coords: tuple[int, ...], i: str) -> int:
+    """The least n >= 0 with xi_i^n m = m, which holds exactly when n >= l_i,
+    for the element m with these base-word coordinates.
 
     The first coordinate c_1 at an i-first word is l_i, so probing c_1 and
     c_1 - 1 settles it in at most two generator actions.  Should that guess
     be wrong, doubling from n = 0 and bisection find the least fixing
-    exponent in O(log l_i) actions; every probe is an action either way.
-    One past the largest coordinate at the i-first word dominates l_i and
-    bounds the search.
+    exponent in O(log l_i) actions; every probe is an action either way, a
+    call of the generator's route compared on coordinates.  One past the
+    largest coordinate at the i-first word dominates l_i and bounds the
+    search.
     """
+    act = _route(datum, None, (i,), None)
 
     def fixes(n: int) -> bool:
-        return left_mul_gen(MonoidGenerator(i, n), m) == m
+        return act(*coords, n) == coords
 
-    coords = _at(m, i)
-    guess, bound = coords[0], max(coords) + 1
+    at = _at(datum, coords, i)
+    guess, bound = at[0], max(at) + 1
     if fixes(guess) and (guess == 0 or not fixes(guess - 1)):
         return guess
     low, high = -1, 0  # fixes(low) is false; fixes(high) is the next test
@@ -280,18 +317,18 @@ def _scan(m: MonoidElement, i: str) -> int:
 
 def l_scan(m: MonoidElement, i: str) -> int:
     """l_i by generator scan: the least n with xi_i^n m = m."""
-    return _scan(m, i)
+    return _scan(m.datum, m.coords, i)
 
 
 def r_coordinate(m: MonoidElement, i: str) -> int:
     """r_i read off coordinates: l_i of the reversal."""
-    return l_coordinate(reverse(m), i)
+    return _at(m.datum, _reversal(m), i)[0]
 
 
 def r_scan(m: MonoidElement, i: str) -> int:
     """r_i by generator scan: the least n with m xi_i^n = m, which is the
     least n with xi_i^n reverse(m) = reverse(m)."""
-    return _scan(reverse(m), i)
+    return _scan(m.datum, _reversal(m), i)
 
 
 def lower_to_zero(m: MonoidElement, i: str) -> MonoidElement:
@@ -304,16 +341,15 @@ def raise_to(n: int, m: MonoidElement, i: str) -> MonoidElement:
     TropInt(n)  # typed not-integer error before the sign test, bools included
     if n < 0:
         raise MonoidError("bad-exponent", "the target fiber needs n >= 0")
-    coords = _at(m, i)
-    if coords[0] != 0:
+    at = _at(m.datum, m.coords, i)
+    if at[0] != 0:
         raise MonoidError("raise-precondition", f"raise_to needs l_{i}(m) = 0")
-    coords[0] = n
-    return MonoidElement(m.datum, _route(m.datum, (i,), (), None)(*coords))
+    return _element(m.datum, _route(m.datum, (i,), (), None)(n, *at[1:]))
 
 
 def crystal_raise(m: MonoidElement, i: str) -> MonoidElement:
     """One step up the i-string: l_i goes up by one."""
-    return raise_to(l_coordinate(m, i) + 1, lower_to_zero(m, i), i)
+    return _element(m.datum, _raised(m.datum, m.coords, i))
 
 
 # Most nodes crystal_graph_dot draws. A3 with bound 3 has exactly this many,
@@ -331,20 +367,20 @@ def crystal_graph_dot(datum: CartanDatum, bound: int) -> str:
     """DOT graph of raising steps from the bottom element, coordinates <= bound."""
     if bound < 0:
         raise MonoidError("bad-bound", f"the bound must be >= 0, got {bound}")
-    bottom = MonoidElement(datum, (0,) * len(base_word(datum).letters))
-    node_limit = min(CRYSTAL_NODE_LIMIT, CRYSTAL_COORDINATE_LIMIT // len(bottom.coords))
-    seen = {bottom.coords}
+    bottom = (0,) * len(base_word(datum).letters)
+    node_limit = min(CRYSTAL_NODE_LIMIT, CRYSTAL_COORDINATE_LIMIT // len(bottom))
+    seen = {bottom}
     queue = [bottom]
     edges = []
     while queue:
         current = queue.pop()
         for i in datum.labels:
-            raised = crystal_raise(current, i)
-            if max(raised.coords, default=0) > bound:
+            raised = _raised(datum, current, i)
+            if max(raised, default=0) > bound:
                 continue
-            edges.append((current.coords, raised.coords, i))
-            if raised.coords not in seen:
-                seen.add(raised.coords)
+            edges.append((current, raised, i))
+            if raised not in seen:
+                seen.add(raised)
                 queue.append(raised)
                 if len(seen) > node_limit:
                     raise MonoidError(

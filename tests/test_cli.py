@@ -634,10 +634,12 @@ class TestLimits:
         assert (code, doc["kind"]) == (1, "limit")
         assert doc["message"].startswith("the crystal graph has more than 390 nodes")
 
-    @pytest.mark.parametrize("name, status", (("A40", "ok"), ("A64", "error"), ("Dstyle:n=63", "error")))
+    @pytest.mark.parametrize("name, status", (("A40", "ok"), ("A64", "ok"), ("Dstyle:n=63", "error")))
     def test_crystal_graph_past_the_compile_size(self, name, status):
         # past 256 coordinates routes run as _run loops; compiled, the work
-        # took 0.5 s on A40, 1.8 s on A64 and 3.2 s on Dstyle:n=63.  Timed
+        # took 0.5 s on A40, 1.8 s on A64 and 3.2 s on Dstyle:n=63.  A raise
+        # is two one-leg routes, each within the move limit on A64; one of
+        # Dstyle:n=63's legs is past it.  Timed
         # in a fresh process: in this one, caches keyed by an equal datum
         # built earlier compare whole pairings on every lookup
         src = os.path.join(os.path.dirname(__file__), "..", "src")

@@ -9,8 +9,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = [
     (layer, case)
     for case in ("A4", "D4+triality")
-    for layer in ("monoid.mul", "monoid.l_scan", "monoid.raise_to", "monoid.normal_form")
-] + [("monoid.folded_mul", "d4")]
+    for layer in ("monoid.mul", "monoid.l_scan", "monoid.r_scan", "monoid.raise_to", "monoid.normal_form")
+] + [
+    ("monoid.folded_mul", "d4"),
+    ("monoid.crystal_graph_dot", "A3 --bound 3"),
+    ("monoid.crystal_graph_dot", "D4+triality --bound 1"),
+]
 
 
 def load_script():

@@ -284,14 +284,15 @@ class TestProductWalk:
 
     @pytest.mark.parametrize("name", WALK_DATA)
     def test_mul_makes_one_compiled_run_and_one_element(self, name, monkeypatch):
-        """A product is one call of its compiled route, with no kernel run."""
+        """A product is one call of its compiled route, with no kernel run,
+        and one element, built by the trusted constructor."""
         from foldline import monoid
 
         datum, _ = builtin(name)
         rng = random.Random(sum(map(ord, name)) + 2)
         m1, m2 = rand_element(rng, datum), rand_element(rng, datum)
-        runs, kernel_runs, elements = [], [], []
-        compile_route, post_init = chamber._compile, MonoidElement.__post_init__
+        runs, kernel_runs, elements, checked = [], [], [], []
+        compile_route, element, post_init = chamber._compile, monoid._element, MonoidElement.__post_init__
 
         def counting_compile(*args, **kwargs):
             route = compile_route(*args, **kwargs)
@@ -302,18 +303,23 @@ class TestProductWalk:
 
             return counted
 
+        def counting_element(datum, coords):
+            elements.append(coords)
+            return element(datum, coords)
+
         def counting_post_init(self):
-            elements.append(self.coords)
+            checked.append(self.coords)
             post_init(self)
 
         monoid._route.cache_clear()
         monkeypatch.setattr(chamber, "_compile", counting_compile)
         monkeypatch.setattr(chamber, "_run", lambda *args: kernel_runs.append(args))
+        monkeypatch.setattr(monoid, "_element", counting_element)
         monkeypatch.setattr(MonoidElement, "__post_init__", counting_post_init)
         product = mul(m1, m2)
         monoid._route.cache_clear()  # no counting route stays cached
         assert len(runs) == 1 and kernel_runs == []
-        assert elements == [product.coords]
+        assert elements == [product.coords] and checked == []
 
     def test_left_mul_gen_exponent_errors(self):
         m = MonoidElement(A2, (1, 2, 3))
@@ -680,8 +686,8 @@ class TestStringLengths:
 
         original = monoid._at
 
-        def misread(m, i):
-            coords = original(m, i)
+        def misread(*args):
+            coords = list(original(*args))
             top = max(coords)
             coords[0] = max(0, coords[0] + shift)
             return coords + [top]  # the bound still dominates l_i
@@ -694,17 +700,31 @@ class TestStringLengths:
                 i = rng.choice(datum.labels)
                 assert (l_scan(m, i), r_scan(m, i)) == linear_string_lengths(m, i)
 
-    def test_scan_with_a_right_guess_makes_two_actions(self, monkeypatch):
+    @staticmethod
+    def count_probes(monkeypatch, attempts, limit=None):
+        """Record the exponent of every call of a one-generator route from
+        the base word back to it: each is one probe of a scan."""
         from foldline import monoid
 
+        original = monoid._route
+
+        def counting_route(datum, start, letters, goal):
+            route = original(datum, start, letters, goal)
+            if (start, len(letters), goal) != (None, 1, None):
+                return route
+
+            def probe(*values):
+                attempts.append(values[-1])
+                assert limit is None or len(attempts) <= limit, "scan is not logarithmic"
+                return route(*values)
+
+            return probe
+
+        monkeypatch.setattr(monoid, "_route", counting_route)
+
+    def test_scan_with_a_right_guess_makes_two_actions(self, monkeypatch):
         attempts = []
-        original = monoid.left_mul_gen
-
-        def counting(gen, m):
-            attempts.append(gen.n)
-            return original(gen, m)
-
-        monkeypatch.setattr(monoid, "left_mul_gen", counting)
+        self.count_probes(monkeypatch, attempts)
         rng = random.Random(23)
         for datum in (A2, A3, D4):
             for _ in range(4):
@@ -717,18 +737,8 @@ class TestStringLengths:
 
     def test_scan_attempts_are_logarithmic(self, monkeypatch):
         """r_scan acts on the reversal from the left; count those actions."""
-        from foldline import monoid
-
         attempts = []
-        limit = 2 * (10**8).bit_length() + 2
-        original = monoid.left_mul_gen
-
-        def counting(gen, m):
-            attempts.append(gen.n)
-            assert len(attempts) <= limit, "scan is not logarithmic"
-            return original(gen, m)
-
-        monkeypatch.setattr(monoid, "left_mul_gen", counting)
+        self.count_probes(monkeypatch, attempts, limit=2 * (10**8).bit_length() + 2)
         m = normal_form(A2, ("1", "2", "1"), (0, 0, 10**8))
         assert r_scan(m, "1") == 10**8
         assert attempts, "the scan made no generator actions"
@@ -803,3 +813,104 @@ class TestPastTheSearch:
             assert mul(x, y) == one_generator_at_a_time(x, y)
             assert normal_form(datum, m.word.letters[::-1], m.coords[::-1]) == reverse(m)
         assert relations == {0, -1}
+
+
+TRUSTED_DATA = ("A3", "A4", "D4+triality", "Dstyle:n=4")
+
+
+class TestTrustedElements:
+    """Answers built from route output skip the public coordinate check;
+    each must still pass it, and the two-call raise must agree with its
+    definition through lower_to_zero and raise_to."""
+
+    @pytest.mark.parametrize("name", TRUSTED_DATA)
+    def test_every_answer_revalidates(self, name):
+        datum, sigma = builtin(name)
+        sigma = sigma or {"A3": A3_FLIP, "A4": builtin("A4+flip")[1]}[name]
+        words = [reduced_word_for_w0_starting_with(datum, i).letters for i in datum.labels]
+        rng = random.Random(f"trusted:{name}")
+        for bound in (6, 10**6):
+            for _ in range(6):
+                m1, m2 = rand_element(rng, datum, bound), rand_element(rng, datum, bound)
+                i = rng.choice(datum.labels)
+                zero = lower_to_zero(m1, i)
+                answers = (
+                    mul(m1, m2),
+                    left_mul_gen(MonoidGenerator(i, rng.randint(0, bound)), m2),
+                    reverse(m1),
+                    sigma_monoid(m1, sigma),
+                    frobenius(rng.randint(1, 3), m1),
+                    zero,
+                    raise_to(rng.randint(0, bound), zero, i),
+                    crystal_raise(m1, i),
+                    normal_form(datum, rng.choice(words), m2.coords),
+                )
+                for m in answers:
+                    assert type(m) is MonoidElement and m.datum == datum
+                    assert MonoidElement(m.datum, m.coords) == m
+
+    @pytest.mark.parametrize("name", TRUSTED_DATA)
+    def test_raise_is_lower_then_raise_one_past_the_string(self, name):
+        datum, _ = builtin(name)
+        rng = random.Random(f"raise:{name}")
+        for bound in (6, 10**6):
+            for _ in range(6):
+                m = rand_element(rng, datum, bound)
+                for i in datum.labels:
+                    expected = raise_to(l_coordinate(m, i) + 1, lower_to_zero(m, i), i)
+                    assert crystal_raise(m, i) == expected
+
+
+def folded_mul_by_blocks(fd, f1, f2, letters):
+    """folded_mul composed of folding's block spread, the product route and
+    folding's block read."""
+    from foldline import monoid
+    from foldline.folding import _read_blocks, _spread
+
+    _, word, layout, _ = _unfolding(fd, tuple(letters))
+    spreads = [[c for n, block in zip(coords, layout) for c in _spread(n, block)] for coords in (f1, f2)]
+    unfolded = word.letters
+    product = monoid._route(fd.source, unfolded, unfolded, unfolded)(*spreads[1], *spreads[0])
+    return tuple(_read_blocks(product, layout))
+
+
+def outcome(fn, *args):
+    """fn's answer, or the kind of the FoldingError it raised."""
+    try:
+        return fn(*args)
+    except FoldingError as error:
+        return error.kind
+
+
+class TestFoldedMulGathers:
+    @pytest.mark.parametrize("model", ("a3", "a4", "d4"))
+    def test_matches_the_block_composition(self, model):
+        fd = standard_folding(model)
+        words = enumerate_reduced_words(fd.folded).vertices
+        rng = random.Random(f"gathers:{model}")
+        for k in range(50):
+            letters = words[k % len(words)]
+            f1, f2 = (tuple(rng.randint(0, 5) for _ in letters) for _ in range(2))
+            assert folded_mul(fd, f1, f2, letters) == folded_mul_by_blocks(fd, f1, f2, letters)
+
+    @pytest.mark.parametrize("model", ("a3", "a4", "d4"))
+    def test_one_entry_off_reads_as_the_block_composition(self, model, monkeypatch):
+        """A product with one entry moved off: both read it the same, as a
+        value where that entry is a block of its own, as not-sigma-fixed
+        elsewhere."""
+        from foldline import monoid
+
+        fd = standard_folding(model)
+        letters = enumerate_reduced_words(fd.folded).vertices[0]
+        f1, f2 = (1,) * len(letters), (2,) * len(letters)
+        unfolded = _unfolding(fd, letters)[1].letters
+        route = monoid._route(fd.source, unfolded, unfolded, unfolded)
+        product = route(*(2,) * len(unfolded), *(1,) * len(unfolded))
+        kinds = set()
+        for p in range(len(product)):
+            moved = product[:p] + (product[p] + 1,) + product[p + 1 :]
+            monkeypatch.setattr(monoid, "_route", lambda *key: lambda *values: moved)
+            seen = outcome(folded_mul, fd, f1, f2, letters)
+            assert seen == outcome(folded_mul_by_blocks, fd, f1, f2, letters)
+            kinds.add(seen == "not-sigma-fixed")
+        assert True in kinds

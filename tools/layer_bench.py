@@ -1,6 +1,7 @@
 """Per-layer timings of the monoid walk: warm ``monoid.mul``, ``l_scan``,
-``raise_to`` after ``lower_to_zero``, ``normal_form`` from a reduced word
-and ``folded_mul`` on seeded inputs, stdlib ``timeit`` only.
+``r_scan``, ``raise_to`` after ``lower_to_zero``, ``normal_form`` from a
+reduced word and ``folded_mul`` on seeded inputs, and whole
+``crystal_graph_dot`` graphs, stdlib ``timeit`` only.
 
     python3 tools/layer_bench.py                       # time this checkout
     python3 tools/layer_bench.py --src OTHER/src       # time another checkout
@@ -35,7 +36,8 @@ ROUNDS = 10  # alternating baseline/current interpreter pairs with --baseline
 
 
 def cases():
-    """(layer, case, fn): fn makes one call on each of the case's inputs."""
+    """(layer, case, fn): fn makes one call on each of the case's inputs
+    and returns the list of their answers."""
     from foldline import monoid
     from foldline.cartan import builtin
     from foldline.folding import standard_folding
@@ -62,6 +64,7 @@ def cases():
         out += [
             ("monoid.mul", name, lambda pairs=pairs: [monoid.mul(x, y) for x, y in pairs]),
             ("monoid.l_scan", name, lambda scans=scans: [monoid.l_scan(m, i) for m, i in scans]),
+            ("monoid.r_scan", name, lambda scans=scans: [monoid.r_scan(m, i) for m, i in scans]),
             ("monoid.raise_to", name, raise_lowered),
             ("monoid.normal_form", name, lambda d=datum, f=forms: [monoid.normal_form(d, *x) for x in f]),
         ]
@@ -72,6 +75,10 @@ def cases():
         for k in range(INPUTS)
     ]
     out.append(("monoid.folded_mul", "d4", lambda: [monoid.folded_mul(*args) for args in folded]))
+    for name, bound in (("A3", 3), ("D4+triality", 1)):
+        datum, _ = builtin(name)
+        graph = lambda d=datum, b=bound: [monoid.crystal_graph_dot(d, b)]  # noqa: E731
+        out.append(("monoid.crystal_graph_dot", f"{name} --bound {bound}", graph))
     return out
 
 
@@ -79,8 +86,8 @@ def measure(repeat: int = REPEAT, number: int = NUMBER) -> list[dict]:
     """One row per case, timed in this interpreter."""
     rows = []
     for layer, case, fn in cases():
-        fn()  # warm
-        per_call = [t / (number * INPUTS) for t in timeit.repeat(fn, number=number, repeat=repeat)]
+        calls = len(fn())  # warm
+        per_call = [t / (number * calls) for t in timeit.repeat(fn, number=number, repeat=repeat)]
         rows.append(
             {
                 "layer": layer,
